@@ -1,13 +1,18 @@
 // Micro-benchmarks (google-benchmark) for the storage substrate: slotted
-// page operations and buffer-manager behaviour under the replacement
-// alternatives (LRU vs LFU vs Clock) at varying skew.
+// page operations, buffer-manager behaviour under the replacement
+// alternatives (LRU vs LFU vs Clock) at varying skew, and heap inserts
+// against growing heaps.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "common/random.h"
 #include "osal/allocator.h"
 #include "osal/env.h"
 #include "storage/buffer.h"
 #include "storage/pagefile.h"
+#include "storage/record.h"
 
 namespace fame::storage {
 namespace {
@@ -92,6 +97,80 @@ void BM_StaticPoolVsMalloc(benchmark::State& state) {
   state.SetLabel(use_pool ? "static pool" : "heap");
 }
 BENCHMARK(BM_StaticPoolVsMalloc)->Arg(0)->Arg(1);
+
+/// Heap inserts of 100 B records into a heap of `range(0)` full 1 KiB pages
+/// over an 8-frame pool, as on the SensorLogger product. The
+/// fetches_per_insert counter is the buffer fetches one insert makes: it
+/// stays flat as the heap grows when first fit needs no chain walk. Every
+/// 256 inserts the batch is deleted untimed, so the heap keeps its size.
+void BM_HeapInsert(benchmark::State& state) {
+  const int64_t pages = state.range(0);
+  auto env = osal::NewMemEnv(0);
+  osal::DynamicAllocator alloc;
+  PageFileOptions opts;
+  opts.page_size = 1024;
+  auto file = PageFile::Open(env.get(), "db", opts);
+  if (!file.ok()) {
+    state.SkipWithError("page file open failed");
+    return;
+  }
+  auto bm = BufferManager::Create(file->get(), 8, &alloc,
+                                  MakeReplacementPolicy("lfu"));
+  if (!bm.ok()) {
+    state.SkipWithError("buffer manager create failed");
+    return;
+  }
+  auto rm = RecordManager::Open(bm->get(), "heap");
+  if (!rm.ok()) {
+    state.SkipWithError("heap open failed");
+    return;
+  }
+  const std::string rec(100, 'r');
+  // Fill until the chain holds `pages` pages; the tail has one record.
+  PageId tail = kInvalidPageId;
+  for (int64_t seen = 0; seen < pages;) {
+    auto rid = (*rm)->Insert(rec);
+    if (!rid.ok()) {
+      state.SkipWithError("heap fill failed");
+      return;
+    }
+    if (rid->page != tail) {
+      tail = rid->page;
+      ++seen;
+    }
+  }
+  std::vector<Rid> batch;
+  batch.reserve(256);
+  uint64_t fetches = 0;
+  auto take_fetches = [&] {
+    const BufferStats st = (*bm)->stats();
+    fetches += st.hits + st.misses;
+    (*bm)->ResetStats();
+  };
+  (*bm)->ResetStats();
+  for (auto _ : state) {
+    auto rid = (*rm)->Insert(rec);
+    if (!rid.ok()) {
+      state.SkipWithError("insert failed");
+      break;
+    }
+    batch.push_back(*rid);
+    if (batch.size() == batch.capacity()) {
+      state.PauseTiming();
+      take_fetches();
+      for (const Rid& r : batch) benchmark::DoNotOptimize((*rm)->Delete(r));
+      batch.clear();
+      (*bm)->ResetStats();
+      state.ResumeTiming();
+    }
+  }
+  take_fetches();
+  state.counters["fetches_per_insert"] =
+      static_cast<double>(fetches) /
+      static_cast<double>(std::max<int64_t>(state.iterations(), 1));
+  state.SetLabel(std::to_string(pages) + " heap pages");
+}
+BENCHMARK(BM_HeapInsert)->Arg(16)->Arg(256)->Arg(4096);
 
 }  // namespace
 }  // namespace fame::storage

@@ -410,6 +410,8 @@ obs::MetricsSnapshot Database::SnapshotMetrics() const {
     m.file_read_ns = io.read_ns.Snapshot();
     m.file_write_ns = io.write_ns.Snapshot();
     m.file_sync_ns = io.sync_ns.Snapshot();
+    m.file_verify_ns = io.verify_ns.Snapshot();
+    m.file_seal_ns = io.seal_ns.Snapshot();
   }
   if (ordered_ != nullptr) {
     const auto& bt = static_cast<const index::BPlusTree*>(ordered_)->metrics();

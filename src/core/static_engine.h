@@ -671,6 +671,8 @@ class StaticEngine : private tx::ApplyTarget {
     m.file_read_ns = io.read_ns.Snapshot();
     m.file_write_ns = io.write_ns.Snapshot();
     m.file_sync_ns = io.sync_ns.Snapshot();
+    m.file_verify_ns = io.verify_ns.Snapshot();
+    m.file_seal_ns = io.seal_ns.Snapshot();
     if constexpr (std::is_same_v<Index, index::BPlusTree>) {
       const auto& bt = index_->metrics();
       m.btree_splits = bt.splits.Load();

@@ -199,11 +199,15 @@ class ScopedLatencyTimer {
 // ---------------------------------------------------------------------------
 
 /// PageFile IO: counts, bytes, and latency histograms per operation kind.
+/// read_ns and write_ns time the whole call; verify_ns (checksum verify on a
+/// paranoid read) and seal_ns (checksum seal before a write) are the parts
+/// of them spent on checksums.
 template <typename Cells>
 struct BasicFileMetrics {
   BasicCounter<Cells> reads, writes, syncs;
   BasicCounter<Cells> read_bytes, write_bytes;
   BasicHistogram<Cells> read_ns, write_ns, sync_ns;
+  BasicHistogram<Cells> verify_ns, seal_ns;
 };
 
 /// B+-tree structural events. A descent is one root-to-leaf traversal
@@ -286,6 +290,7 @@ struct MetricsSnapshot {
   uint64_t file_read_bytes = 0;
   uint64_t file_write_bytes = 0;
   HistogramSnapshot file_read_ns, file_write_ns, file_sync_ns;
+  HistogramSnapshot file_verify_ns, file_seal_ns;  ///< checksum share of IO
 
   // WAL.
   uint64_t wal_appends = 0;

@@ -219,6 +219,8 @@ std::string RenderText(const MetricsSnapshot& m) {
     HistoLine(&out, "file read latency ns", m.file_read_ns);
     HistoLine(&out, "file write latency ns", m.file_write_ns);
     HistoLine(&out, "file sync latency ns", m.file_sync_ns);
+    HistoLine(&out, "file verify latency ns", m.file_verify_ns);
+    HistoLine(&out, "file seal latency ns", m.file_seal_ns);
   }
   HistoLine(&out, "wal batch records", m.wal_batch_records);
   if (m.btree_descents + m.btree_splits + m.btree_merges > 0) {
@@ -276,6 +278,8 @@ std::string RenderPrometheus(const MetricsSnapshot& m) {
   PromHisto(st, "file_read_latency_ns", m.file_read_ns);
   PromHisto(st, "file_write_latency_ns", m.file_write_ns);
   PromHisto(st, "file_sync_latency_ns", m.file_sync_ns);
+  PromHisto(st, "file_verify_latency_ns", m.file_verify_ns);
+  PromHisto(st, "file_seal_latency_ns", m.file_seal_ns);
   PromCounter(st, "wal_appends_total", m.wal_appends);
   PromCounter(st, "wal_fsyncs_total", m.wal_syncs);
   PromCounter(st, "wal_batches_total", m.wal_batches);

@@ -277,6 +277,8 @@ Status PageFile::ReadPage(PageId id, char* buf) {
   Status s = ReadAt(static_cast<uint64_t>(id) * opts_.page_size,
                     opts_.page_size, buf);
   if (s.ok() && opts_.paranoid_checks) {
+    FAME_OBS(obs::ScopedLatencyTimer<obs::SharedCells> verify_timer(
+                 &io_metrics_.verify_ns);)
     Page page(buf, opts_.page_size);
     s = page.VerifyChecksum();
   }
@@ -307,7 +309,11 @@ Status PageFile::WritePage(PageId id, char* buf) {
            io_metrics_.writes.Add(1);
            io_metrics_.write_bytes.Add(opts_.page_size);)
   Page page(buf, opts_.page_size);
-  page.SealChecksum();
+  {
+    FAME_OBS(obs::ScopedLatencyTimer<obs::SharedCells> seal_timer(
+                 &io_metrics_.seal_ns);)
+    page.SealChecksum();
+  }
   Status s = WriteAt(static_cast<uint64_t>(id) * opts_.page_size,
                      Slice(buf, opts_.page_size));
   FAME_OBS_TRACE(obs::Trace::Record(obs::SpanKind::kPageWrite,

@@ -3,6 +3,14 @@
 #include <cstring>
 
 namespace fame::storage {
+namespace {
+
+/// The number first fit tests: what the page can take after compaction.
+uint32_t Room(const Page& page) {
+  return static_cast<uint32_t>(page.FreeSpace() + page.ReclaimableSpace());
+}
+
+}  // namespace
 
 StatusOr<std::unique_ptr<RecordManager>> RecordManager::Open(
     BufferManager* buffers, const std::string& name) {
@@ -18,27 +26,47 @@ StatusOr<std::unique_ptr<RecordManager>> RecordManager::Open(
     FAME_RETURN_IF_ERROR(
         buffers->file()->SetRoot("heap:" + name, rm->head_));
   }
+  rm->resume_ = rm->head_;  // the memo starts empty: nothing read here
   return rm;
 }
 
+void RecordManager::Remember(PageId id, uint32_t room) {
+  if (id >= pos_.size()) pos_.resize(static_cast<size_t>(id) + 1, 0);
+  chain_.push_back(Visited{id, room});
+  pos_[id] = static_cast<uint32_t>(chain_.size());
+}
+
+void RecordManager::Refresh(PageId id, const Page& page) {
+  if (id < pos_.size() && pos_[id] != 0) {
+    chain_[pos_[id] - 1].room = Room(page);
+  }
+}
+
 StatusOr<PageId> RecordManager::FindPageWithSpace(size_t need) {
-  PageId id = head_;
-  PageId last = kInvalidPageId;
-  while (id != kInvalidPageId) {
+  for (const Visited& v : chain_) {
+    if (v.room >= need) return v.id;
+  }
+  // No fit among the walked pages: resume the walk where the memo ends.
+  while (resume_ != kInvalidPageId) {
+    const PageId id = resume_;
     FAME_ASSIGN_OR_RETURN(PageGuard guard, buffers_->Fetch(id));
     Page page = guard.page();
-    if (page.FreeSpace() + page.ReclaimableSpace() >= need) return id;
-    last = id;
-    id = page.next_page();
+    const uint32_t room = Room(page);
+    Remember(id, room);
+    resume_ = page.next_page();
+    if (room >= need) return id;
   }
-  // Chain exhausted: append a page.
+  // Chain exhausted: append a page. The memo covers the whole chain now, so
+  // its last entry is the tail.
   FAME_ASSIGN_OR_RETURN(PageGuard fresh, buffers_->New(PageType::kHeap));
   PageId fresh_id = fresh.id();
   fresh.MarkDirty();
+  const uint32_t fresh_room = Room(fresh.page());
   fresh.Release();
-  FAME_ASSIGN_OR_RETURN(PageGuard tail, buffers_->Fetch(last));
+  FAME_ASSIGN_OR_RETURN(PageGuard tail, buffers_->Fetch(chain_.back().id));
   tail.page().set_next_page(fresh_id);
   tail.MarkDirty();
+  Remember(fresh_id, fresh_room);
   return fresh_id;
 }
 
@@ -54,6 +82,7 @@ StatusOr<Rid> RecordManager::Insert(const Slice& record) {
   auto slot_or = page.Insert(record);
   FAME_RETURN_IF_ERROR(slot_or.status());
   guard.MarkDirty();
+  Refresh(id, page);
   return Rid{id, slot_or.value()};
 }
 
@@ -82,12 +111,14 @@ Status RecordManager::Update(Rid* rid, const Slice& record) {
     Status s = page.Update(rid->slot, record);
     if (s.ok()) {
       guard.MarkDirty();
+      Refresh(rid->page, page);
       return Status::OK();
     }
     if (s.code() != StatusCode::kResourceExhausted) return s;
     // Doesn't fit on its page: delete here, reinsert elsewhere.
     FAME_RETURN_IF_ERROR(page.Delete(rid->slot));
     guard.MarkDirty();
+    Refresh(rid->page, page);
   }
   FAME_ASSIGN_OR_RETURN(Rid moved, Insert(record));
   *rid = moved;
@@ -99,13 +130,16 @@ Status RecordManager::UpdateInPlace(const Rid& rid, const Slice& record) {
   Page page = guard.page();
   FAME_RETURN_IF_ERROR(page.Update(rid.slot, record));
   guard.MarkDirty();
+  Refresh(rid.page, page);
   return Status::OK();
 }
 
 Status RecordManager::Delete(const Rid& rid) {
   FAME_ASSIGN_OR_RETURN(PageGuard guard, buffers_->Fetch(rid.page));
-  FAME_RETURN_IF_ERROR(guard.page().Delete(rid.slot));
+  Page page = guard.page();
+  FAME_RETURN_IF_ERROR(page.Delete(rid.slot));
   guard.MarkDirty();
+  Refresh(rid.page, page);
   return Status::OK();
 }
 

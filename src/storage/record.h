@@ -1,11 +1,14 @@
 // RecordManager: a heap file of variable-length records over the buffer
 // manager. Records are addressed by RID {page, slot}. Pages with free space
-// are kept on a simple chain threaded through Page::next_page.
+// are kept on a simple chain threaded through Page::next_page; inserts take
+// the first page in chain order with room, found through an in-memory memo
+// of the chain rather than by fetching every page.
 #ifndef FAME_STORAGE_RECORD_H_
 #define FAME_STORAGE_RECORD_H_
 
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "storage/buffer.h"
 
@@ -33,7 +36,9 @@ struct Rid {
 };
 
 /// Heap-file record storage. One RecordManager per named heap; the head of
-/// its page chain persists as a PageFile root.
+/// its page chain persists as a PageFile root. Writers (Insert, Update,
+/// UpdateInPlace, Delete) must be serialized by the caller; readers (Get,
+/// Scan, Count) may run beside each other.
 class RecordManager {
  public:
   /// Opens (creating on first use) the heap named `name`.
@@ -78,12 +83,31 @@ class RecordManager {
   RecordManager(BufferManager* buffers, std::string name)
       : buffers_(buffers), name_(std::move(name)) {}
 
-  /// Finds (or appends) a page with at least `need` free bytes.
+  /// Finds (or appends) the first page in chain order with at least `need`
+  /// bytes of room (free plus reclaimable), without fetching any page the
+  /// memo already covers.
   StatusOr<PageId> FindPageWithSpace(size_t need);
+
+  /// Appends the next chain page and its room to the memo.
+  void Remember(PageId id, uint32_t room);
+  /// Refreshes the memo entry of a page a writer just changed; pages the
+  /// walk has not reached yet carry no entry.
+  void Refresh(PageId id, const Page& page);
 
   BufferManager* buffers_;
   std::string name_;
   PageId head_ = kInvalidPageId;
+
+  // Free-space memo over the prefix of the chain walked so far, built
+  // lazily by FindPageWithSpace and kept exact by every writer, so first
+  // fit picks the same page a walk from the head would.
+  struct Visited {
+    PageId id;
+    uint32_t room;  // FreeSpace() + ReclaimableSpace()
+  };
+  std::vector<Visited> chain_;    // walked pages, in chain order
+  std::vector<uint32_t> pos_;     // PageId -> chain_ index + 1; 0 = unwalked
+  PageId resume_ = kInvalidPageId;  // first unwalked page; invalid at the end
 };
 
 }  // namespace fame::storage

@@ -53,39 +53,49 @@ bool LruPolicy::Victim(FrameId* frame) {
 
 // ---------------------------------------------------------------- LFU
 
+LfuPolicy::Entry& LfuPolicy::At(FrameId frame) {
+  if (frame >= frames_.size()) frames_.resize(frame + 1);
+  return frames_[frame];
+}
+
 void LfuPolicy::OnUnpinned(FrameId frame) {
-  ++freq_[frame];
-  evictable_[frame] = ++seq_;
+  Entry& e = At(frame);
+  ++e.freq;
+  e.seq = ++seq_;
+  if (!e.evictable) {
+    e.evictable = true;
+    ++count_;
+  }
 }
 
 void LfuPolicy::OnRemoved(FrameId frame) {
   // Called both when a frame is re-pinned (keep its frequency) and when it
-  // is evicted/replaced. The buffer manager calls ResetFrequency via
-  // OnRemoved-then-forget semantics: frequency entries for frames that
-  // leave the pool are dropped when the frame id is reused (OnUnpinned of a
-  // new page increments from whatever is stored, so we clear here only the
-  // evictable mark; eviction clears frequency through Victim()).
-  evictable_.erase(frame);
+  // is freed; only eviction through Victim() clears the frequency, because
+  // the frame will hold a different page next.
+  if (frame >= frames_.size() || !frames_[frame].evictable) return;
+  frames_[frame].evictable = false;
+  --count_;
 }
 
-void LfuPolicy::OnAccess(FrameId frame) { ++freq_[frame]; }
+void LfuPolicy::OnAccess(FrameId frame) { ++At(frame).freq; }
 
 bool LfuPolicy::Victim(FrameId* frame) {
-  if (evictable_.empty()) return false;
+  if (count_ == 0) return false;
   FrameId best = 0;
   uint64_t best_freq = ~0ull;
   uint64_t best_seq = ~0ull;
-  for (const auto& [f, seq] : evictable_) {
-    uint64_t fr = freq_[f];
-    if (fr < best_freq || (fr == best_freq && seq < best_seq)) {
+  for (FrameId f = 0; f < frames_.size(); ++f) {
+    const Entry& e = frames_[f];
+    if (!e.evictable) continue;
+    if (e.freq < best_freq || (e.freq == best_freq && e.seq < best_seq)) {
       best = f;
-      best_freq = fr;
-      best_seq = seq;
+      best_freq = e.freq;
+      best_seq = e.seq;
     }
   }
+  frames_[best] = Entry{};
+  --count_;
   *frame = best;
-  evictable_.erase(best);
-  freq_.erase(best);  // the frame will hold a different page next
   return true;
 }
 

@@ -8,8 +8,8 @@
 #define FAME_STORAGE_REPLACEMENT_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -68,19 +68,28 @@ class LruPolicy final : public ReplacementPolicy {
 };
 
 /// Least-frequently-used with FIFO tie-breaking. Frequencies persist while a
-/// frame stays resident (they reset on eviction, not on pin).
+/// frame stays resident (they reset on eviction, not on pin). Per-frame state
+/// lives in a frame-indexed vector, like LruPolicy's, so pins and unpins
+/// never allocate once every frame id has been seen.
 class LfuPolicy final : public ReplacementPolicy {
  public:
   void OnUnpinned(FrameId frame) override;
   void OnRemoved(FrameId frame) override;
   void OnAccess(FrameId frame) override;
   bool Victim(FrameId* frame) override;
-  size_t Size() const override { return evictable_.size(); }
+  size_t Size() const override { return count_; }
   const char* name() const override { return "lfu"; }
 
  private:
-  std::unordered_map<FrameId, uint64_t> freq_;       // all resident frames
-  std::unordered_map<FrameId, uint64_t> evictable_;  // frame -> seq of unpin
+  struct Entry {
+    uint64_t freq = 0;  // accesses + unpins since the frame's last eviction
+    uint64_t seq = 0;   // order of the last unpin, for FIFO ties
+    bool evictable = false;
+  };
+  Entry& At(FrameId frame);
+
+  std::vector<Entry> frames_;  // indexed by frame id
+  size_t count_ = 0;           // evictable frames
   uint64_t seq_ = 0;
 };
 

@@ -337,9 +337,16 @@ struct StaticCfg {
   static constexpr size_t kStaticPoolBytes = 64 * 1024;
 };
 
-TEST(ZeroHeapTest, StaticProductSteadyStateAllocatesNothing) {
+/// The same product with the LFU replacement alternative: its per-frame
+/// bookkeeping must not allocate on pin or unpin either.
+struct StaticLfuCfg : StaticCfg {
+  static constexpr const char* kReplacement = "lfu";
+};
+
+template <typename Cfg>
+void ExpectSteadyStateAllocatesNothing() {
   auto env = fame::osal::NewMemEnv(0);
-  fame::core::StaticEngine<StaticCfg> db;
+  fame::core::StaticEngine<Cfg> db;
   ASSERT_TRUE(db.Open(env.get(), "zeroheap.db").ok());
 
   std::string value;
@@ -383,6 +390,14 @@ TEST(ZeroHeapTest, StaticProductSteadyStateAllocatesNothing) {
   // And the engine really is running on the static arena.
   EXPECT_STREQ(db.allocator()->name(), "static-slab");
   EXPECT_GT(db.allocator()->bytes_in_use(), 0u);
+}
+
+TEST(ZeroHeapTest, StaticProductSteadyStateAllocatesNothing) {
+  ExpectSteadyStateAllocatesNothing<StaticCfg>();
+}
+
+TEST(ZeroHeapTest, StaticLfuProductSteadyStateAllocatesNothing) {
+  ExpectSteadyStateAllocatesNothing<StaticLfuCfg>();
 }
 
 }  // namespace

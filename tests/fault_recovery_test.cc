@@ -14,8 +14,10 @@
 // commit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "core/database.h"
@@ -540,6 +542,139 @@ TEST(FaultRecoveryTest, MvccGcWatermarkSurvivesPowerLoss) {
   std::string v;
   ASSERT_TRUE((*db)->Get(KeyOf(0), &v).ok());
   EXPECT_EQ(v, "g3");
+}
+
+// ------------------------------------------------- heap free-space memo
+
+// The record manager answers first fit from a memo it builds while walking
+// the heap chain and keeps current on every write. After power loss the
+// reopened engine replays the WAL through a fresh record manager, so the
+// memo is rebuilt under replay; inserts afterwards must still land on the
+// page a walk of the chain picks.
+struct MemoCfg {
+  using IndexTag = BtreeTag;
+  static constexpr bool kPut = true;
+  static constexpr bool kRemove = true;
+  static constexpr bool kUpdate = true;
+  static constexpr bool kTransactions = true;
+  static constexpr bool kForceCommit = false;
+  static constexpr const char* kReplacement = "lru";
+  static constexpr uint32_t kPageSize = 512;  // many heap pages
+  static constexpr size_t kBufferFrames = 8;
+  static constexpr size_t kStaticPoolBytes = 0;
+};
+using MemoProduct = StaticEngine<MemoCfg>;
+
+/// First page of the "core" heap chain with room for `need` bytes, or
+/// kInvalidPageId when the heap must grow; `chain` receives every page.
+storage::PageId FirstFitByWalk(MemoProduct* db, size_t need,
+                               std::vector<storage::PageId>* chain) {
+  chain->clear();
+  storage::PageId fit = storage::kInvalidPageId;
+  auto head = db->buffers()->file()->GetRoot("heap:core");
+  EXPECT_TRUE(head.ok());
+  storage::PageId id = head.ok() ? *head : storage::kInvalidPageId;
+  while (id != storage::kInvalidPageId) {
+    auto guard = db->buffers()->Fetch(id);
+    EXPECT_TRUE(guard.ok()) << guard.status().ToString();
+    if (!guard.ok()) break;
+    storage::Page page = guard->page();
+    if (fit == storage::kInvalidPageId &&
+        page.FreeSpace() + page.ReclaimableSpace() >= need) {
+      fit = id;
+    }
+    chain->push_back(id);
+    id = page.next_page();
+  }
+  return fit;
+}
+
+/// Random single-key commits over a small key space. A Put of an absent key
+/// is one heap insert and must land where the walk says; overwrites (in
+/// place or relocating) and removes reshape the free space in between.
+void ChurnChecked(MemoProduct* db, Random* rng, int steps,
+                  std::map<std::string, std::string>* oracle) {
+  for (int i = 0; i < steps; ++i) {
+    const std::string key = KeyOf(rng->Uniform(96));
+    auto txn = db->Begin();
+    ASSERT_TRUE(txn.ok());
+    auto it = oracle->find(key);
+    if (it != oracle->end() && rng->OneIn(2)) {
+      ASSERT_TRUE((*txn)->Delete("core", key).ok());
+      ASSERT_TRUE(db->Commit(*txn).ok());
+      oracle->erase(it);
+      continue;
+    }
+    const std::string value = rng->NextString(1 + rng->Uniform(120));
+    const bool fresh = it == oracle->end();
+    std::vector<storage::PageId> chain;
+    storage::PageId want = storage::kInvalidPageId;
+    if (fresh) {
+      const size_t need =
+          EngineCore<index::BPlusTree>::EncodeRecord(key, value).size() +
+          storage::Page::kSlotSize;
+      want = FirstFitByWalk(db, need, &chain);
+    }
+    ASSERT_TRUE((*txn)->Put("core", key, value).ok());
+    ASSERT_TRUE(db->Commit(*txn).ok());
+    (*oracle)[key] = value;
+    if (!fresh) continue;
+    uint64_t packed = 0;
+    ASSERT_TRUE(db->index()->Lookup(key, &packed).ok());
+    const storage::PageId got = storage::Rid::Unpack(packed).page;
+    if (want != storage::kInvalidPageId) {
+      ASSERT_EQ(got, want) << "step " << i;
+    } else {
+      ASSERT_EQ(std::count(chain.begin(), chain.end(), got), 0)
+          << "step " << i;
+    }
+  }
+}
+
+void ExpectState(MemoProduct* db,
+                 const std::map<std::string, std::string>& oracle) {
+  std::string v;
+  for (uint32_t i = 0; i < 96; ++i) {
+    Status s = db->Get(KeyOf(i), &v);
+    auto it = oracle.find(KeyOf(i));
+    if (it == oracle.end()) {
+      EXPECT_TRUE(s.IsNotFound()) << KeyOf(i) << ": " << s.ToString();
+    } else {
+      ASSERT_TRUE(s.ok()) << KeyOf(i) << ": " << s.ToString();
+      EXPECT_EQ(v, it->second);
+    }
+  }
+}
+
+TEST(FaultRecoveryTest, HeapPlacementFollowsTheChainWalkAfterReplay) {
+  auto base = osal::NewMemEnv(0);
+  FaultInjectionEnv fenv(base.get());
+  Random rng(kSeed);
+  std::map<std::string, std::string> oracle;
+  {
+    MemoProduct db;
+    ASSERT_TRUE(db.Open(&fenv, "memo").ok());
+    ASSERT_NO_FATAL_FAILURE(ChurnChecked(&db, &rng, 400, &oracle));
+    ASSERT_TRUE(db.Checkpoint().ok());
+    ASSERT_NO_FATAL_FAILURE(ChurnChecked(&db, &rng, 400, &oracle));
+    // Power fails: from here on nothing reaches the medium.
+    fenv.CrashAfterMutations(fenv.mutation_count());
+  }
+  fenv.SimulateCrash();
+  {
+    MemoProduct db;
+    ASSERT_TRUE(db.Open(&fenv, "memo").ok());
+    EXPECT_FALSE(db.recovery_report().lost_committed_data());
+    ASSERT_NO_FATAL_FAILURE(ExpectState(&db, oracle));
+    ASSERT_NO_FATAL_FAILURE(ChurnChecked(&db, &rng, 400, &oracle));
+    ASSERT_TRUE(db.Checkpoint().ok());
+  }
+  // And after a clean close and reopen.
+  MemoProduct db;
+  ASSERT_TRUE(db.Open(&fenv, "memo").ok());
+  ASSERT_NO_FATAL_FAILURE(ExpectState(&db, oracle));
+  ASSERT_NO_FATAL_FAILURE(ChurnChecked(&db, &rng, 400, &oracle));
+  ASSERT_NO_FATAL_FAILURE(ExpectState(&db, oracle));
 }
 
 }  // namespace

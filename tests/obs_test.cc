@@ -356,6 +356,9 @@ TEST(ObsSerializeTest, PrometheusMatchesGoldenFile) {
   m.file_read_ns.counts[2] = 9;
   m.file_read_ns.count = 9;
   m.file_read_ns.sum = 270;
+  m.file_verify_ns.counts[2] = 9;  // the checksum share of those reads
+  m.file_verify_ns.count = 9;
+  m.file_verify_ns.sum = 180;
   m.engine_gets = 3;
   m.engine_puts = 5;
   m.get_ns.counts[2] = 3;

@@ -2,8 +2,10 @@
 // file, buffer manager with each replacement policy, record manager.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "common/random.h"
 #include "osal/allocator.h"
@@ -239,6 +241,38 @@ TEST_F(PageFileTest, ChecksumVerifiedOnRead) {
   std::vector<char> readback(opts.page_size);
   EXPECT_TRUE((*pf)->ReadPage(*id, readback.data()).IsCorruption());
 }
+
+#if FAME_OBS_ENABLED
+// verify_ns and seal_ns are the checksum share of read_ns and write_ns:
+// one verify sample per read when paranoid checks are on, none when they
+// are off, and one seal sample per write either way.
+TEST_F(PageFileTest, ChecksumTimersSampleOncePerCheckedPage) {
+  for (bool paranoid : {true, false}) {
+    PageFileOptions opts;
+    opts.paranoid_checks = paranoid;
+    auto pf = PageFile::Open(env_.get(), paranoid ? "on" : "off", opts);
+    ASSERT_TRUE(pf.ok());
+    auto id = (*pf)->AllocatePage();
+    ASSERT_TRUE(id.ok());
+    std::vector<char> buf(opts.page_size, 0);
+    Page page(buf.data(), buf.size());
+    page.Init(PageType::kHeap);
+    const auto& io = (*pf)->io_metrics();
+    const uint64_t reads0 = io.reads.Load();
+    const uint64_t writes0 = io.writes.Load();
+    const uint64_t verifies0 = io.verify_ns.Snapshot().count;
+    const uint64_t seals0 = io.seal_ns.Snapshot().count;
+    ASSERT_TRUE((*pf)->WritePage(*id, buf.data()).ok());
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE((*pf)->ReadPage(*id, buf.data()).ok());
+    }
+    EXPECT_EQ(io.reads.Load() - reads0, 5u);
+    EXPECT_EQ(io.verify_ns.Snapshot().count - verifies0, paranoid ? 5u : 0u);
+    EXPECT_EQ(io.writes.Load() - writes0, 1u);
+    EXPECT_EQ(io.seal_ns.Snapshot().count - seals0, 1u);
+  }
+}
+#endif  // FAME_OBS_ENABLED
 
 TEST_F(PageFileTest, FreeListRecyclesPages) {
   PageFileOptions opts;
@@ -666,6 +700,78 @@ TEST(ReplacementPolicyTest, LfuTieBreaksFifo) {
   EXPECT_EQ(v, 5u);
 }
 
+/// Reference LFU kept in the test: frequency and unpin order in ordered
+/// maps, victim by a full scan. Any trace must give the same victims from
+/// LfuPolicy.
+class LfuModel {
+ public:
+  void OnUnpinned(FrameId f) {
+    ++freq_[f];
+    evictable_[f] = ++seq_;
+  }
+  void OnRemoved(FrameId f) { evictable_.erase(f); }
+  void OnAccess(FrameId f) { ++freq_[f]; }
+  bool Victim(FrameId* out) {
+    if (evictable_.empty()) return false;
+    auto rank = [this](const std::pair<const FrameId, uint64_t>& e) {
+      return std::make_pair(freq_[e.first], e.second);
+    };
+    auto best = evictable_.begin();
+    for (auto it = evictable_.begin(); it != evictable_.end(); ++it) {
+      if (rank(*it) < rank(*best)) best = it;
+    }
+    *out = best->first;
+    freq_.erase(best->first);
+    evictable_.erase(best);
+    return true;
+  }
+  size_t Size() const { return evictable_.size(); }
+
+ private:
+  std::map<FrameId, uint64_t> freq_;       // frame -> frequency
+  std::map<FrameId, uint64_t> evictable_;  // frame -> order of last unpin
+  uint64_t seq_ = 0;
+};
+
+TEST(ReplacementPolicyTest, LfuMatchesReferenceModelOnRandomTraces) {
+  for (uint64_t seed = 1; seed <= 25; ++seed) {
+    Random rng(seed);
+    LfuPolicy lfu;
+    LfuModel model;
+    for (int step = 0; step < 2000; ++step) {
+      const FrameId f = static_cast<FrameId>(rng.Uniform(12));
+      switch (rng.Uniform(5)) {
+        case 0:
+        case 1:
+          lfu.OnUnpinned(f);
+          model.OnUnpinned(f);
+          break;
+        case 2:
+          lfu.OnRemoved(f);  // a pin
+          lfu.OnAccess(f);
+          model.OnRemoved(f);
+          model.OnAccess(f);
+          break;
+        case 3:
+          lfu.OnAccess(f);
+          model.OnAccess(f);
+          break;
+        default: {
+          FrameId got = 0, want = 0;
+          const bool has = model.Victim(&want);
+          ASSERT_EQ(lfu.Victim(&got), has) << "seed " << seed << " step "
+                                           << step;
+          if (has) {
+            ASSERT_EQ(got, want) << "seed " << seed << " step " << step;
+          }
+        }
+      }
+      ASSERT_EQ(lfu.Size(), model.Size()) << "seed " << seed << " step "
+                                          << step;
+    }
+  }
+}
+
 TEST(ReplacementPolicyTest, ClockGivesSecondChance) {
   ClockPolicy clock;
   clock.OnUnpinned(1);
@@ -817,6 +923,177 @@ TEST_F(RecordTest, PersistsAcrossReopen) {
   std::string out;
   ASSERT_TRUE((*rm)->Get(*rid, &out).ok());
   EXPECT_EQ(out, "survivor");
+}
+
+// ------------------------------------------------------------ heap memo
+//
+// RecordManager answers first fit from a memo of its own chain walk. These
+// tests hold it to the walk: before an insert they walk the heap chain
+// themselves, through the buffer manager, and the insert must land on the
+// page that walk picks.
+
+/// Walks heap `name` from its head. Returns the first page whose room (free
+/// plus reclaimable bytes) fits `need`, or kInvalidPageId when the heap must
+/// grow; `chain` receives every page of the chain in order.
+PageId FirstFitByWalk(BufferManager* bm, const std::string& name, size_t need,
+                      std::vector<PageId>* chain) {
+  chain->clear();
+  PageId fit = kInvalidPageId;
+  auto head = bm->file()->GetRoot("heap:" + name);
+  EXPECT_TRUE(head.ok());
+  for (PageId id = head.ok() ? *head : kInvalidPageId; id != kInvalidPageId;) {
+    auto guard = bm->Fetch(id);
+    EXPECT_TRUE(guard.ok()) << guard.status().ToString();
+    if (!guard.ok()) break;
+    Page page = guard->page();
+    if (fit == kInvalidPageId &&
+        page.FreeSpace() + page.ReclaimableSpace() >= need) {
+      fit = id;
+    }
+    chain->push_back(id);
+    id = page.next_page();
+  }
+  return fit;
+}
+
+class HeapMemoTest : public ::testing::Test {
+ protected:
+  static constexpr uint32_t kPageSize = 512;
+
+  void SetUp() override {
+    env_ = osal::NewMemEnv(0);
+    Open();
+  }
+  void TearDown() override { Drop(); }
+
+  void Open() {
+    PageFileOptions opts;
+    opts.page_size = kPageSize;
+    auto pf = PageFile::Open(env_.get(), "db", opts);
+    ASSERT_TRUE(pf.ok()) << pf.status().ToString();
+    file_ = std::move(*pf);
+    auto bm = BufferManager::Create(file_.get(), 8, &alloc_,
+                                    MakeReplacementPolicy("lru"));
+    ASSERT_TRUE(bm.ok());
+    bm_ = std::move(*bm);
+    auto rm = RecordManager::Open(bm_.get(), "t");
+    ASSERT_TRUE(rm.ok());
+    rm_ = std::move(*rm);
+  }
+  void Drop() {
+    rm_.reset();
+    bm_.reset();
+    file_.reset();
+  }
+  void Reopen() {
+    ASSERT_TRUE(bm_->Checkpoint().ok());
+    Drop();
+    Open();
+  }
+
+  /// Inserts `rec`, expecting the page a chain walk picks (or, when no page
+  /// fits, a page the chain did not hold, now its tail).
+  void InsertChecked(const std::string& rec) {
+    std::vector<PageId> before, after;
+    const PageId want =
+        FirstFitByWalk(bm_.get(), "t", rec.size() + Page::kSlotSize, &before);
+    auto rid = rm_->Insert(rec);
+    ASSERT_TRUE(rid.ok()) << rid.status().ToString();
+    if (want != kInvalidPageId) {
+      ASSERT_EQ(rid->page, want);
+    } else {
+      ASSERT_EQ(std::count(before.begin(), before.end(), rid->page), 0);
+      FirstFitByWalk(bm_.get(), "t", 0, &after);
+      ASSERT_EQ(after.back(), rid->page);
+    }
+    live_.emplace_back(*rid, rec);
+  }
+
+  /// Random inserts, updates (which may relocate) and deletes.
+  void Churn(Random* rng, int ops) {
+    for (int i = 0; i < ops; ++i) {
+      const uint64_t dice = rng->Uniform(8);
+      if (live_.empty() || dice < 4) {  // inserts outpace deletes: it grows
+        ASSERT_NO_FATAL_FAILURE(
+            InsertChecked(rng->NextString(1 + rng->Uniform(160))));
+        continue;
+      }
+      const size_t victim = rng->Uniform(live_.size());
+      if (dice < 5) {
+        std::string rec = rng->NextString(1 + rng->Uniform(240));
+        ASSERT_TRUE(rm_->Update(&live_[victim].first, rec).ok());
+        live_[victim].second = std::move(rec);
+      } else {
+        ASSERT_TRUE(rm_->Delete(live_[victim].first).ok());
+        live_[victim] = std::move(live_.back());
+        live_.pop_back();
+      }
+    }
+  }
+
+  void ExpectLiveRecords() {
+    std::string out;
+    for (const auto& [rid, rec] : live_) {
+      ASSERT_TRUE(rm_->Get(rid, &out).ok());
+      ASSERT_EQ(out, rec);
+    }
+    EXPECT_EQ(*rm_->Count(), live_.size());
+  }
+
+  std::unique_ptr<osal::Env> env_;
+  osal::DynamicAllocator alloc_;
+  std::unique_ptr<PageFile> file_;
+  std::unique_ptr<BufferManager> bm_;
+  std::unique_ptr<RecordManager> rm_;
+  std::vector<std::pair<Rid, std::string>> live_;
+};
+
+TEST_F(HeapMemoTest, InsertPicksTheFirstFitOfAChainWalk) {
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    Random rng(seed);
+    ASSERT_NO_FATAL_FAILURE(Churn(&rng, 800));
+    ASSERT_NO_FATAL_FAILURE(ExpectLiveRecords());
+    // A reopened heap starts with an empty memo and rebuilds it lazily.
+    ASSERT_NO_FATAL_FAILURE(Reopen());
+    ASSERT_NO_FATAL_FAILURE(Churn(&rng, 800));
+    ASSERT_NO_FATAL_FAILURE(ExpectLiveRecords());
+  }
+}
+
+/// Buffer fetches for `inserts` fixed-size inserts into a heap that already
+/// holds `pages` full pages; the first insert starts a fresh tail page.
+uint64_t FetchesForInserts(size_t pages, int inserts) {
+  auto env = osal::NewMemEnv(0);
+  osal::DynamicAllocator alloc;
+  PageFileOptions opts;
+  opts.page_size = 512;
+  auto pf = PageFile::Open(env.get(), "db", opts);
+  EXPECT_TRUE(pf.ok());
+  auto bm = BufferManager::Create(pf->get(), 8, &alloc,
+                                  MakeReplacementPolicy("lru"));
+  EXPECT_TRUE(bm.ok());
+  auto rm = RecordManager::Open(bm->get(), "t");
+  EXPECT_TRUE(rm.ok());
+  const std::string rec(60, 'r');
+  std::set<PageId> used;
+  for (;;) {
+    auto rid = (*rm)->Insert(rec);
+    EXPECT_TRUE(rid.ok());
+    if (!rid.ok()) return 0;
+    used.insert(rid->page);
+    if (used.size() == pages + 1) break;  // the full pages plus a new tail
+  }
+  (*bm)->ResetStats();
+  for (int i = 0; i < inserts; ++i) EXPECT_TRUE((*rm)->Insert(rec).ok());
+  const BufferStats st = (*bm)->stats();
+  return st.hits + st.misses;
+}
+
+TEST(HeapMemoBoundTest, FetchesPerInsertDoNotGrowWithTheHeap) {
+  const uint64_t small = FetchesForInserts(16, 64);
+  const uint64_t large = FetchesForInserts(1024, 64);
+  EXPECT_GT(small, 0u);
+  EXPECT_EQ(small, large) << "an insert re-walked the heap chain";
 }
 
 }  // namespace
