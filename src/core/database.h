@@ -3,19 +3,20 @@
 // (FeatureC++-equivalent), Database composes *components at runtime* from a
 // validated feature Configuration — the component-based comparator the
 // paper discusses in §2.1 (flexible, but paying dispatch overhead; the
-// ablation bench measures exactly that gap).
+// ablation bench measures exactly that gap). Both are the one engine shell
+// (core/engine_shell.h); only the feature policy differs.
 #ifndef FAME_CORE_DATABASE_H_
 #define FAME_CORE_DATABASE_H_
 
 #include <atomic>
-#include <map>
+#include <bitset>
+#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
+#include <vector>
 
-#include "core/backup.h"
 #include "core/datatypes.h"
-#include "core/engine_core.h"
+#include "core/engine_shell.h"
 #include "featuremodel/fame_model.h"
 #include "index/index.h"
 #include "obs/metrics.h"
@@ -26,7 +27,6 @@
 #include "osal/env.h"
 #include "storage/buffer.h"
 #include "storage/integrity.h"
-#include "storage/record.h"
 #include "tx/txmgr.h"
 
 namespace fame::core {
@@ -86,8 +86,40 @@ struct DbStats {
   std::string ToString() const;
 };
 
-/// A composed FAME-DBMS instance.
-class Database : private tx::ApplyTarget {
+class Database;
+
+/// The runtime feature policy: every feature Binding::kRuntime, its bit
+/// resolved once at Open from the derived fm::Configuration. The index is
+/// reached through the virtual interface, so one instantiation serves every
+/// runtime product.
+class RuntimePolicy {
+ public:
+  using Index = index::KeyValueIndex;
+  using Owner = Database;
+  /// Memory Alloc state: the allocator the facade chose at Open.
+  struct Alloc {
+    std::unique_ptr<osal::Allocator> owned;
+    osal::Allocator* get() const { return owned.get(); }
+  };
+
+  static constexpr Binding binding(Feature) { return Binding::kRuntime; }
+  bool on(Feature f) const { return bits_.test(static_cast<size_t>(f)); }
+  void Select(Feature f) { bits_.set(static_cast<size_t>(f)); }
+  StatusOr<std::unique_ptr<Index>> OpenIndex(storage::BufferManager* b) const;
+
+  EngineKnobs knobs;
+  /// NutOS / Win32 environment shims; owned here so they outlive the
+  /// storage stack opened over them.
+  std::unique_ptr<osal::Env> owned_env;
+
+ private:
+  std::bitset<static_cast<size_t>(Feature::kCount)> bits_;
+};
+
+/// A composed FAME-DBMS instance: the engine shell over the runtime policy,
+/// plus what only the runtime facade offers — typed records, SQL, the
+/// integrity features, the flight recorder and integrity-gated promotion.
+class Database : public EngineShell<RuntimePolicy> {
  public:
   /// Validates `options.features` against the FAME-DBMS feature model,
   /// derives the minimal valid variant containing them, and composes the
@@ -95,47 +127,6 @@ class Database : private tx::ApplyTarget {
   static StatusOr<std::unique_ptr<Database>> Open(const DbOptions& options);
 
   ~Database() override;
-
-  // ---- Access features (runtime-gated: NotSupported when unselected) ----
-  Status Put(const Slice& key, const Slice& value);
-  Status Get(const Slice& key, std::string* value);
-  Status Remove(const Slice& key);
-  Status Update(const Slice& key, const Slice& value);
-  Status Scan(const index::ScanVisitor& visit);
-  Status RangeScan(const Slice& lo, const Slice& hi, const KvVisitor& fn);
-  /// [feature ReverseScan] Descending iteration over [lo, hi) (empty hi =
-  /// from the last key). NotSupported unless the ReverseScan feature is
-  /// selected (which the model ties to B+-Tree).
-  Status ReverseScan(const Slice& lo, const Slice& hi, const KvVisitor& fn);
-
-  /// Pull-based cursor over the engine's records (heap-joined values).
-  /// Mutating the database invalidates open cursors; re-Seek after writes.
-  /// With the Mvcc feature the joined values are raw version chains —
-  /// NewSnapshotCursor is the record-level view.
-  StatusOr<EngineCursor> NewCursor() { return engine_.NewCursor(); }
-
-  // ---- Transaction ▸ Mvcc feature (runtime-gated) ----
-  bool mvcc() const { return mvcc_ != nullptr; }
-  /// [feature Mvcc] Cursor frozen at the current read timestamp: positions
-  /// resolve through the version chains, so writers committing after the
-  /// open never change what it returns. NotSupported without Mvcc.
-  StatusOr<SnapshotCursor> NewSnapshotCursor();
-  /// [feature Mvcc] Watermark GC: prunes versions no active snapshot can
-  /// see (and keys fully dead under a tombstone), then persists the sweep
-  /// watermark in the PageFile meta ("mvcc.mark"). Returns versions pruned.
-  StatusOr<uint64_t> MvccGc();
-  /// [feature Mvcc] Watermark of the last completed GC sweep (persisted;
-  /// reloaded at open). 0 before the first sweep.
-  uint64_t mvcc_gc_mark() const { return mvcc_mark_; }
-  /// [feature Mvcc] Oracle counters (zero-valued without the feature).
-  tx::mvcc::MvccStats mvcc_stats() const {
-    return mvcc_ != nullptr ? mvcc_->stats() : tx::mvcc::MvccStats{};
-  }
-
-  // ---- Transaction feature ----
-  StatusOr<tx::Transaction*> Begin();
-  Status Commit(tx::Transaction* txn);
-  Status Abort(tx::Transaction* txn);
 
   // ---- typed record API (Data Types feature) ----
   Status CreateTable(const Schema& schema);
@@ -154,66 +145,16 @@ class Database : private tx::ApplyTarget {
   const fm::Configuration& configuration() const { return config_; }
   bool HasFeature(const std::string& name) const;
 
-  Status Checkpoint();
-  /// Aggregated snapshot (by value: the pool keeps per-shard counters).
-  storage::BufferStats buffer_stats() const { return buffers_->stats(); }
-  osal::Env* env() { return env_; }
-
-  // ---- Backup / Pitr features (runtime-gated) ----
-  /// [feature Backup] Online hot backup to destination prefix `dest`
-  /// (page file at `dest`, segments at `dest.wal.NNNNNN`, CRC-sealed
-  /// manifest at `dest.manifest`). Runs concurrently with committers:
-  /// only engine applies pause during the page copy. NotSupported unless
-  /// the Backup feature is selected.
-  Status Backup(const std::string& dest,
-                backup::BackupReport* report = nullptr);
-  /// [feature Backup] Rebuilds a database at `dest_path` from the backup
-  /// at prefix `src`; `opts.target_lsn` past the backup end replays
-  /// archived segments (feature Pitr). Open the result normally (with the
-  /// Backup feature selected) to complete recovery.
-  static Status Restore(osal::Env* env, const std::string& src,
-                        const std::string& dest_path,
-                        const backup::RestoreOptions& opts = {},
-                        backup::RestoreReport* report = nullptr);
-  /// [feature Backup] End of the durable log (a valid PITR target); 0
-  /// without the Transaction feature.
-  uint64_t DurableLsn() const {
-    return txmgr_ != nullptr ? txmgr_->durable_lsn() : 0;
-  }
-  /// [feature Backup] Segment-chain counters (zero-valued on a legacy,
-  /// single-file log).
-  tx::WalSegmentStats wal_segment_stats() const {
-    return txmgr_ != nullptr && txmgr_->wal_segmented()
-               ? txmgr_->wal_segment_stats()
-               : tx::WalSegmentStats{};
-  }
-
   // ---- Replication / Failover features (runtime-gated) ----
-  /// [feature Replication] Takes (or resumes) leadership under fencing
-  /// epoch `epoch`: stamps the epoch into the PageFile meta (root
-  /// "repl.fence") and into every WAL segment created from here on. The
-  /// epoch can only move forward. NotSupported unless the Replication
-  /// feature is selected.
-  Status StartLeader(uint32_t epoch);
-  /// [feature Replication] Marks this instance a follower at fencing epoch
-  /// `epoch`: persists the fence and rejects every local mutation
-  /// (NotSupported) until Promote. Replay-by-recovery still applies — the
-  /// shipped log is the only write path into a follower.
-  Status StartFollower(uint32_t epoch);
   /// [feature Failover] Integrity-gated promotion: verifies the store
   /// (DataLoss on any finding — a damaged replica must not take
   /// leadership), then re-fences as leader under `epoch` (> current).
   Status Promote(uint32_t epoch);
-  /// [feature Replication] Borrowed live handles for a repl::Leader bound
-  /// to this engine (same shape hot backup uses).
-  StatusOr<backup::BackupContext> ReplicationSource();
   /// Lag gauges fed by the shipping loop (repl::LeaderOptions::lag_sink).
   void SetReplLag(uint64_t lag_bytes, uint64_t lag_epochs) {
     repl_lag_bytes_.store(lag_bytes, std::memory_order_relaxed);
     repl_lag_epochs_.store(lag_epochs, std::memory_order_relaxed);
   }
-  uint32_t repl_epoch() const { return repl_epoch_; }
-  bool repl_follower() const { return repl_role_ == kRoleFollower; }
 
   // ---- integrity features (Scrub / Verify / Repair, runtime-gated) ----
   /// [feature Scrub] Incremental scrubbing: checks up to `max_pages` pages,
@@ -231,14 +172,9 @@ class Database : private tx::ApplyTarget {
   /// everything else survives. Fails InvalidArgument with transactions
   /// still active.
   Status Repair(storage::IntegrityReport* report = nullptr);
-  /// Unified observability counters (always available).
+  /// Unified observability counters (always available; GetMetricsSnapshot
+  /// is the feature-gated full view).
   DbStats GetStats() const;
-  /// [feature Observability] The full metrics snapshot — engine-op
-  /// counters/latencies, buffer pool per shard, file IO, WAL batching,
-  /// B+-tree structure, cursor pipeline. NotSupported unless the
-  /// Observability feature is selected (GetStats stays available either
-  /// way; this is the surface `fame stats` and the NFP feedback hook use).
-  StatusOr<obs::MetricsSnapshot> GetMetricsSnapshot() const;
   /// [feature FlightRecorder] Persists the flight-recorder black box as
   /// `<path>.blackbox` (trigger, feature set, recent errors, last trace
   /// spans, metrics snapshot) via an atomic tmp+rename install, decodable
@@ -252,141 +188,41 @@ class Database : private tx::ApplyTarget {
     return scrub_findings_;
   }
 
-  // ---- degraded (read-only) mode ----
-  /// True after a persistent write failure (IO error or on-disk corruption
-  /// on a mutation path) flipped the engine to read-only. Reads keep
-  /// serving; every mutation is rejected so a half-applied write cannot be
-  /// compounded. Recovery is reopening the database.
-  bool read_only() const {
-    std::unique_lock<std::mutex> l(latch_mu_, std::defer_lock);
-    if (concurrent_) l.lock();
-    return !write_error_.ok();
-  }
-  /// The failure that degraded the engine (OK while healthy).
-  const Status& degraded_status() const { return write_error_; }
-  /// What crash recovery found in the WAL at open (zero-valued without the
-  /// Transaction feature or with a clean log).
-  tx::RecoveryReport recovery_report() const {
-    return txmgr_ != nullptr ? txmgr_->recovery_report() : tx::RecoveryReport{};
-  }
-
  private:
   friend class SqlEngine;
+  friend class EngineShell<RuntimePolicy>;  // owner hooks
+  using Shell = EngineShell<RuntimePolicy>;
   Database() = default;
 
   Status ComposeComponents(const DbOptions& options);
-  /// Opens (or re-opens, for Repair) the transaction manager over the
-  /// product's log flavor: a segmented log with the Backup feature, the
-  /// legacy single file otherwise. Does not run recovery.
-  Status OpenTxManager();
-  /// Opens the storage stack (page file, buffer pool, heap, index,
-  /// scrubber) at options_.path and rebinds engine_; Repair re-runs it
-  /// after rebuilding the file. env_ and allocator_ must already be set up.
-  Status OpenStorageStack();
+  /// Integrity features keep one scrubber so incremental cycles and stats
+  /// survive across calls; rebuilt whenever the storage stack reopens.
+  void OpenScrubber();
 
-  /// Assembles the full metrics view from the registry and the component
-  /// groups (internal; GetMetricsSnapshot adds the feature gate, GetStats
-  /// derives its legacy fields from it).
-  obs::MetricsSnapshot SnapshotMetrics() const;
-
-  /// Rejects mutations once the engine is degraded or fenced as a follower.
-  Status GuardWrite() const;
-  /// Writes the replication fence (epoch, role) into the PageFile meta.
-  Status PersistFenceMeta();
-  /// Flips the engine to read-only when `s` is a persistent write failure;
-  /// returns `s` unchanged.
-  Status NoteWrite(Status s);
-
-  /// Record-path seam: plain bytes without Mvcc, a version-chain append /
-  /// visible-version resolve at the current read timestamp with it. Every
-  /// KV, typed-record and SQL access funnels through these three.
-  Status PutRecord(const Slice& key, const Slice& value);
-  Status RemoveRecord(const Slice& key);
-  Status GetRecord(const Slice& key, std::string* value);
-  /// [feature Mvcc] Persists the timestamp oracle ("mvcc.ts") and the GC
-  /// watermark ("mvcc.mark") in the PageFile meta.
-  Status PersistMvccMeta();
-
-  // tx::ApplyTarget.
-  Status ApplyPut(const std::string& store, const Slice& key,
-                  const Slice& value) override;
-  Status ApplyDelete(const std::string& store, const Slice& key) override;
-  Status ReadCommitted(const std::string& store, const Slice& key,
-                       std::string* value) override;
-  Status ApplyPutVersioned(const std::string& store, const Slice& key,
-                           const Slice& value, uint64_t commit_ts) override;
-  Status ApplyDeleteVersioned(const std::string& store, const Slice& key,
-                              uint64_t commit_ts) override;
-  Status ReadAtSnapshot(const std::string& store, const Slice& key,
-                        uint64_t ts, std::string* value) override;
-  Status CheckpointEngine() override;
-  /// [feature Backup] Watermark persistence in the PageFile meta (root
-  /// "wal.mark", aux = LSN). Called by segmented checkpoints only.
-  Status PersistWalMark(tx::Lsn mark) override;
-  StatusOr<tx::Lsn> LoadWalMark() override;
+  /// Owner hooks of the shell: flight-recorder breadcrumbs for a failed
+  /// write (a dump when it tripped the read-only latch), and the
+  /// facade-only slice of the metrics snapshot.
+  void OnWriteFailure(const Status& s, bool tripped);
+  void AddOwnerMetrics(obs::MetricsSnapshot* m) const;
 
   static std::string TableKey(const std::string& table, const Value& pk);
   static std::string SchemaKey(const std::string& table);
 
   std::unique_ptr<fm::FeatureModel> model_;
   fm::Configuration config_;
-  DbOptions options_;
-
-  osal::Env* env_ = nullptr;
-  std::unique_ptr<osal::Env> owned_env_;         // NutOS / Win32 shims
-  std::unique_ptr<osal::Allocator> allocator_;
-  std::unique_ptr<storage::PageFile> file_;
-  std::unique_ptr<storage::BufferManager> buffers_;
-  std::unique_ptr<storage::RecordManager> heap_;
-  std::unique_ptr<index::KeyValueIndex> index_;
-  index::OrderedIndex* ordered_ = nullptr;       // non-null for B+-Tree
-  /// The shared engine-level access path (Get/Put/Remove/cursors) over the
-  /// runtime-composed heap + index; StaticEngine instantiates the same
-  /// template over its compile-time index type.
-  EngineCore<index::KeyValueIndex> engine_;
-  std::unique_ptr<tx::TransactionManager> txmgr_;
-  /// [feature Mvcc] Timestamp oracle / snapshot registry / conflict table;
-  /// null without the feature (which keeps the whole record path on the
-  /// plain-bytes codec — the zero-cost claim the nm guard checks on the
-  /// static products).
-  std::unique_ptr<tx::mvcc::MvccManager> mvcc_;
-  /// [feature Mvcc] Watermark of the last completed GC sweep (persisted).
-  uint64_t mvcc_mark_ = 0;
   std::unique_ptr<SqlEngine> sql_;
   std::unique_ptr<storage::Scrubber> scrubber_;  // with Scrub/Verify
   storage::IntegrityReport scrub_findings_;      // incremental Scrub() only
-
-  bool has_put_ = false, has_remove_ = false, has_update_ = false;
-  /// [feature Backup] Completed hot backups and their output bytes
-  /// (atomics: Backup may run from a second thread under Concurrency).
-  std::atomic<uint64_t> backup_runs_{0};
-  std::atomic<uint64_t> backup_bytes_{0};
-  /// [feature Replication] Fencing state, loaded from the PageFile meta at
-  /// open and rewritten by StartLeader/StartFollower/Promote. The follower
-  /// role is enforced even in products without the Replication feature:
-  /// local writes into a replica would silently diverge it.
-  static constexpr uint8_t kRoleNone = 0, kRoleLeader = 1, kRoleFollower = 2;
-  uint8_t repl_role_ = kRoleNone;
-  uint32_t repl_epoch_ = 0;
   std::atomic<uint64_t> repl_lag_bytes_{0};
   std::atomic<uint64_t> repl_lag_epochs_{0};
-  /// Concurrency feature selected: transaction surface is thread-safe and
-  /// the degradation latch below is mutex-guarded.
-  bool concurrent_ = false;
-  mutable std::mutex latch_mu_;
-  Status write_error_;  // first persistent write failure; OK while healthy
-  /// All Database-owned counters (engine ops, integrity runs, cursor
-  /// pipeline) live here — SharedCells because the Concurrency feature lets
-  /// several threads drive the transaction surface, and torn non-atomic
-  /// counter reads in GetStats were exactly the bug this replaces.
-  mutable obs::BasicMetricsRegistry<obs::SharedCells> metrics_;
 #if FAME_OBS_ENABLED
   /// [feature FlightRecorder] Degradation breadcrumbs + dump machinery;
-  /// null without the feature. Dumped when the read-only latch trips,
-  /// when Repair runs, and on demand via DumpBlackBox().
+  /// null without the feature.
   std::unique_ptr<obs::BlackBox> blackbox_;
 #endif
 };
+
+extern template class EngineShell<RuntimePolicy>;
 
 }  // namespace fame::core
 

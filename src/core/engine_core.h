@@ -1,12 +1,11 @@
 // EngineCore: the one implementation of the engine-level access path —
 // heap-record encoding, index maintenance on Put/Remove, and the
-// heap-joining cursor — shared by both composition styles. Database
-// instantiates it over the virtual index::KeyValueIndex (component
-// composition, §2.1); StaticEngine<Cfg> instantiates it over the concrete
-// index type of the product (FeatureC++-style, §2.3), so every call
-// devirtualizes. Neither engine carries its own Get/Scan/RangeScan
-// traversal logic anymore; feature gating, latching and tx plumbing stay
-// in the owners.
+// heap-joining cursor — shared by both composition styles through the
+// engine shell (core/engine_shell.h). Database instantiates it over the
+// virtual index::KeyValueIndex (component composition, §2.1);
+// StaticEngine<Cfg> over the concrete index type of the product
+// (FeatureC++-style, §2.3), so every call devirtualizes. Feature gating,
+// latching and tx plumbing stay in the shell.
 //
 // Record format in the heap: [varint32 klen][key][value]. The key is
 // embedded so a record is self-identifying — Get cross-checks it against

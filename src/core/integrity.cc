@@ -1,29 +1,23 @@
 // Integrity features of the Database facade: Scrub (incremental page
 // scrubbing), Verify (the full structural pass behind VerifyIntegrity),
-// Repair (quarantine + salvage + rebuild + WAL replay), and the unified
-// GetStats snapshot. Kept out of database.cc so the access-path code stays
-// readable; everything here is runtime-gated on the Scrub/Verify/Repair
-// features of the extended Figure-2 model.
+// Repair (quarantine + salvage + rebuild + WAL replay), the unified
+// GetStats snapshot and the facade's slice of the metrics snapshot. Kept
+// out of database.cc so the composition code stays readable; everything
+// here is runtime-gated on the Scrub/Verify/Repair features of the
+// extended Figure-2 model.
 #include <algorithm>
 #include <map>
 #include <vector>
 
 #include "core/database.h"
-#include "core/sql.h"
 #include "index/bplus_tree.h"
 #include "index/list_index.h"
 #include "obs/obs.h"
 #include "obs/serialize.h"
-#include "osal/slab_alloc.h"
-#if FAME_OBS_TRACING_ENABLED
-#include "obs/trace.h"
-#endif
 
 namespace fame::core {
 
 namespace {
-
-constexpr char kStore[] = "core";  // same store name database.cc composes
 
 /// Caps per-category issue lists so a totally shredded file cannot balloon
 /// the report; the tail is summarized instead.
@@ -139,18 +133,14 @@ Status AppendToFile(osal::Env* env, const std::string& name,
 // ------------------------------------------------------------ Scrub
 
 StatusOr<uint32_t> Database::Scrub(uint32_t max_pages) {
-  if (!HasFeature("Scrub")) {
-    return Status::NotSupported("feature Scrub not selected");
-  }
+  FAME_RETURN_IF_ERROR(Require<kScrub>());
   return scrubber_->ScrubStep(max_pages, &scrub_findings_);
 }
 
 // ------------------------------------------------------------ Verify
 
 Status Database::VerifyIntegrity(storage::IntegrityReport* report) {
-  if (!HasFeature("Verify")) {
-    return Status::NotSupported("feature Verify not selected");
-  }
+  FAME_RETURN_IF_ERROR(Require<kVerify>());
   FAME_OBS_TRACE(obs::ScopedOpSpan span(obs::TraceOp::kVerify);)
   *report = storage::IntegrityReport{};
 
@@ -165,8 +155,8 @@ Status Database::VerifyIntegrity(storage::IntegrityReport* report) {
   FAME_RETURN_IF_ERROR(scrubber_->ScrubAll(report));
 
   // Index structure.
-  if (ordered_ != nullptr) {
-    Status s = static_cast<index::BPlusTree*>(ordered_)->CheckInvariants();
+  if (index::BPlusTree* tree = btree(); tree != nullptr) {
+    Status s = tree->CheckInvariants();
     if (!s.ok()) AddIssue(&report->index_issues, s.ToString());
   }
 
@@ -261,9 +251,7 @@ Status Database::VerifyIntegrity(storage::IntegrityReport* report) {
 // ------------------------------------------------------------ Repair
 
 Status Database::Repair(storage::IntegrityReport* report) {
-  if (!HasFeature("Repair")) {
-    return Status::NotSupported("feature Repair not selected");
-  }
+  FAME_RETURN_IF_ERROR(Require<kRepair>());
   FAME_OBS_TRACE(obs::ScopedOpSpan span(obs::TraceOp::kRepair);)
   storage::IntegrityReport local;
   if (report == nullptr) report = &local;
@@ -287,12 +275,10 @@ Status Database::Repair(storage::IntegrityReport* report) {
 
   // Tear down everything above the page file. The WAL file stays on disk:
   // committed operations newer than the last checkpoint are replayed after
-  // the rebuild.
-  sql_.reset();
+  // the rebuild. The SQL engine holds only this facade and stays.
   txmgr_.reset();
   scrubber_.reset();
   index_.reset();
-  ordered_ = nullptr;
   heap_.reset();
 
   SalvageResult salvage;
@@ -303,25 +289,25 @@ Status Database::Repair(storage::IntegrityReport* report) {
   file_.reset();
 
   if (!salvage.quarantine_blob.empty()) {
-    FAME_RETURN_IF_ERROR(AppendToFile(env_, options_.path + ".quarantine",
+    FAME_RETURN_IF_ERROR(AppendToFile(env_, path_ + ".quarantine",
                                       salvage.quarantine_blob));
   }
 
   // Rebuild a fresh file from the salvage, then install it atomically.
-  std::string tmp = options_.path + ".repair";
+  std::string tmp = path_ + ".repair";
   if (env_->FileExists(tmp)) FAME_RETURN_IF_ERROR(env_->DeleteFile(tmp));
   Status rebuild = [&]() -> Status {
     storage::PageFileOptions pf_opts;
-    pf_opts.page_size = options_.page_size;
+    pf_opts.page_size = policy_.knobs.page_size;
     FAME_ASSIGN_OR_RETURN(auto pf, storage::PageFile::Open(env_, tmp, pf_opts));
     {
       FAME_ASSIGN_OR_RETURN(
           auto bm, storage::BufferManager::Create(
-                       pf.get(), options_.buffer_frames, allocator_.get(),
+                       pf.get(), policy_.knobs.buffer_frames, alloc_.get(),
                        storage::MakeReplacementPolicy("lru")));
       FAME_ASSIGN_OR_RETURN(auto heap,
                             storage::RecordManager::Open(bm.get(), kStore));
-      if (HasFeature("B+-Tree")) {
+      if (Has<kBPlusTree>()) {
         FAME_ASSIGN_OR_RETURN(auto tree,
                               index::BPlusTree::Open(bm.get(), kStore));
         std::vector<std::pair<std::string, uint64_t>> entries;
@@ -342,28 +328,22 @@ Status Database::Repair(storage::IntegrityReport* report) {
       FAME_RETURN_IF_ERROR(bm->Checkpoint());
     }
     FAME_RETURN_IF_ERROR(pf->Close());
-    return env_->RenameFile(tmp, options_.path);
+    return env_->RenameFile(tmp, path_);
   }();
 
-  // Recompose on whichever file is now at options_.path — the rebuilt one,
-  // or (when the rebuild failed before install) the original.
-  Status reopen = OpenStorageStack();
-  if (rebuild.ok() && reopen.ok() && HasFeature("Transaction")) {
-    // Same log flavor as the original open (segmented for Backup
-    // products, the single file otherwise).
-    reopen = OpenTxManager();
-    if (reopen.ok()) {
-      // Replays everything committed after the last checkpoint. Redone
-      // puts are idempotent upserts; deletes of already-gone keys are
-      // tolerated by recovery.
-      reopen = txmgr_->Recover();
-    }
+  // Recompose on whichever file is now at path_ — the rebuilt one, or
+  // (when the rebuild failed before install) the original.
+  Status reopen = OpenStorage();
+  if (reopen.ok()) OpenScrubber();
+  if (rebuild.ok() && reopen.ok() && Has<kTransaction>()) {
+    // The same open sequence as Database::Open: same log flavor, Mvcc
+    // oracle reinstalled, and recovery replays everything committed after
+    // the last checkpoint. Redone puts are idempotent upserts; deletes of
+    // already-gone keys are tolerated by recovery.
+    reopen = OpenTransactions();
   }
   if (!rebuild.ok()) return rebuild;
   FAME_RETURN_IF_ERROR(reopen);
-  if (HasFeature("SQL-Engine")) {
-    sql_ = std::make_unique<SqlEngine>(this, HasFeature("Optimizer"));
-  }
 
   // The rebuilt file is consistent by construction: lift the latch.
   write_error_ = Status::OK();
@@ -378,116 +358,17 @@ Status Database::Repair(storage::IntegrityReport* report) {
 
 // ------------------------------------------------------------ stats
 
-obs::MetricsSnapshot Database::SnapshotMetrics() const {
-  obs::MetricsSnapshot m;
-  metrics_.Snapshot(&m);
-  if (buffers_ != nullptr) {
-    storage::BufferStats b = buffers_->stats();
-    m.buffer_hits = b.hits;
-    m.buffer_misses = b.misses;
-    m.buffer_evictions = b.evictions;
-    m.buffer_writebacks = b.dirty_writebacks;
-    for (size_t i = 0; i < buffers_->shard_count(); ++i) {
-      storage::BufferStats sh = buffers_->shard_stats(i);
-      m.buffer_shards.push_back(
-          {sh.hits, sh.misses, sh.evictions, sh.dirty_writebacks});
-    }
-  }
+void Database::AddOwnerMetrics(obs::MetricsSnapshot* m) const {
   if (scrubber_ != nullptr) {
     storage::ScrubStats sc = scrubber_->stats();
-    m.scrub_pages_checked = sc.pages_checked;
-    m.scrub_corrupt_pages = sc.corrupt_pages;
-    m.scrub_cycles = sc.cycles_completed;
+    m->scrub_pages_checked = sc.pages_checked;
+    m->scrub_corrupt_pages = sc.corrupt_pages;
+    m->scrub_cycles = sc.cycles_completed;
   }
-#if FAME_OBS_ENABLED
-  if (file_ != nullptr) {
-    const auto& io = file_->io_metrics();
-    m.file_reads = io.reads.Load();
-    m.file_writes = io.writes.Load();
-    m.file_syncs = io.syncs.Load();
-    m.file_read_bytes = io.read_bytes.Load();
-    m.file_write_bytes = io.write_bytes.Load();
-    m.file_read_ns = io.read_ns.Snapshot();
-    m.file_write_ns = io.write_ns.Snapshot();
-    m.file_sync_ns = io.sync_ns.Snapshot();
-    m.file_verify_ns = io.verify_ns.Snapshot();
-    m.file_seal_ns = io.seal_ns.Snapshot();
+  if (m->repl) {
+    m->repl_lag_bytes = repl_lag_bytes_.load(std::memory_order_relaxed);
+    m->repl_lag_epochs = repl_lag_epochs_.load(std::memory_order_relaxed);
   }
-  if (ordered_ != nullptr) {
-    const auto& bt = static_cast<const index::BPlusTree*>(ordered_)->metrics();
-    m.btree_splits = bt.splits.Load();
-    m.btree_merges = bt.merges.Load();
-    m.btree_descents = bt.descents.Load();
-  }
-#endif
-  if (txmgr_ != nullptr) {
-    tx::WalStats w = txmgr_->wal_stats();
-    m.wal_appends = w.records_appended;
-    m.wal_syncs = w.syncs;
-    m.wal_batches = w.group_batches;
-    m.wal_batched_bytes = w.group_batched_bytes;
-    if (txmgr_->wal_segmented()) {
-      tx::WalSegmentStats seg = txmgr_->wal_segment_stats();
-      m.wal_segmented = true;
-      m.wal_segments = seg.segments;
-      m.wal_rotations = seg.rotations;
-      m.wal_recycled = seg.recycled;
-      m.wal_archived = seg.archived;
-      m.wal_archive_lag_bytes = seg.archive_lag_bytes;
-      m.wal_archive_stalled = seg.archive_stalled;
-      m.wal_retained_lsn = seg.retained_lsn;
-      m.backup_runs = backup_runs_.load(std::memory_order_relaxed);
-      m.backup_bytes = backup_bytes_.load(std::memory_order_relaxed);
-    }
-    FAME_OBS(m.wal_batch_records = txmgr_->wal_batch_histogram();)
-    m.committed_txns = txmgr_->committed();
-    m.aborted_txns = txmgr_->aborted();
-    tx::RecoveryReport r = txmgr_->recovery_report();
-    m.recovery_applied_records = r.applied_records;
-    m.recovery_dropped_bytes = r.dropped_bytes;
-  }
-  if (mvcc_ != nullptr) {
-    tx::mvcc::MvccStats ms = mvcc_->stats();
-    m.mvcc = true;
-    m.mvcc_active_snapshots = ms.active_snapshots;
-    m.mvcc_conflicts = ms.conflicts;
-    m.mvcc_gc_runs = ms.gc_runs;
-    m.mvcc_gc_pruned = ms.gc_pruned;
-    m.mvcc_watermark = ms.watermark;
-    m.mvcc_clock = ms.clock;
-    m.mvcc_chain_len = mvcc_->chain_len_histogram();
-  }
-  if (repl_role_ != kRoleNone) {
-    m.repl = true;
-    m.repl_follower = repl_role_ == kRoleFollower;
-    m.repl_epoch = repl_epoch_;
-    m.repl_lag_bytes = repl_lag_bytes_.load(std::memory_order_relaxed);
-    m.repl_lag_epochs = repl_lag_epochs_.load(std::memory_order_relaxed);
-  }
-  if (allocator_ != nullptr) {
-    osal::AllocStats alloc = allocator_->stats();
-    m.alloc_name = allocator_->name();
-    m.alloc_live_bytes = alloc.live_bytes;
-    m.alloc_peak_bytes = alloc.peak_bytes;
-    m.alloc_remote_frees = alloc.remote_frees;
-#if FAME_SLAB_ENABLED
-    // Pooled per-op objects (cursors, transactions) are thread-local and
-    // process-wide, not per-engine; their cross-thread frees fold in here.
-    m.alloc_remote_frees += osal::slab::PooledCrossThreadFrees();
-#endif
-  }
-  m.lost_meta_writes = storage::PageFile::lost_meta_writes();
-  m.lost_page_writebacks = storage::BufferLostWritebacks();
-  if (file_ != nullptr) m.page_count = file_->page_count();
-  m.read_only = read_only();
-  return m;
-}
-
-StatusOr<obs::MetricsSnapshot> Database::GetMetricsSnapshot() const {
-  if (!HasFeature("Observability")) {
-    return Status::NotSupported("feature Observability not selected");
-  }
-  return SnapshotMetrics();
 }
 
 DbStats Database::GetStats() const {
@@ -522,7 +403,7 @@ Status Database::DumpBlackBox(const std::string& reason) {
   if (blackbox_ == nullptr) {
     return Status::NotSupported("feature FlightRecorder not selected");
   }
-  return blackbox_->Persist(env_, options_.path, reason, config_.Signature(),
+  return blackbox_->Persist(env_, path_, reason, config_.Signature(),
                             obs::RenderText(SnapshotMetrics()));
 #else
   (void)reason;

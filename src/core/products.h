@@ -77,35 +77,16 @@ using Controller = StaticEngine<ControllerCfg>;
 /// group commit (one fsync per epoch); the storage substrate gains sharded
 /// lock striping (storage::ConcurrentBufferManager) for callers composing
 /// it directly.
-struct EdgeServerCfg {
-  using IndexTag = BtreeTag;
-  static constexpr bool kPut = true;
-  static constexpr bool kRemove = true;
-  static constexpr bool kUpdate = true;
-  static constexpr bool kTransactions = true;
-  static constexpr bool kForceCommit = false;
+struct EdgeServerCfg : WorkstationCfg {
   static constexpr bool kConcurrency = true;
-  static constexpr const char* kReplacement = "lru";
-  static constexpr uint32_t kPageSize = 4096;
   static constexpr size_t kBufferFrames = 256;
-  static constexpr size_t kStaticPoolBytes = 0;
 };
 using EdgeServer = StaticEngine<EdgeServerCfg>;
 
 /// Analytics node: Workstation plus the optional ReverseScan feature —
 /// descending cursor iteration for latest-first queries over ordered keys.
-struct AnalyticsCfg {
-  using IndexTag = BtreeTag;
-  static constexpr bool kPut = true;
-  static constexpr bool kRemove = true;
-  static constexpr bool kUpdate = true;
-  static constexpr bool kTransactions = true;
-  static constexpr bool kForceCommit = false;
+struct AnalyticsCfg : WorkstationCfg {
   static constexpr bool kReverseScan = true;
-  static constexpr const char* kReplacement = "lru";
-  static constexpr uint32_t kPageSize = 4096;
-  static constexpr size_t kBufferFrames = 128;
-  static constexpr size_t kStaticPoolBytes = 0;
 };
 using Analytics = StaticEngine<AnalyticsCfg>;
 
@@ -113,18 +94,8 @@ using Analytics = StaticEngine<AnalyticsCfg>;
 /// the metrics registry is compiled into the engine's hot paths (plain
 /// integer cells: no Concurrency, so no atomics) and GetMetricsSnapshot()
 /// exists. Products without kObservability carry zero bytes of it.
-struct TelemetryNodeCfg {
-  using IndexTag = BtreeTag;
-  static constexpr bool kPut = true;
-  static constexpr bool kRemove = true;
-  static constexpr bool kUpdate = true;
-  static constexpr bool kTransactions = true;
-  static constexpr bool kForceCommit = false;
+struct TelemetryNodeCfg : WorkstationCfg {
   static constexpr bool kObservability = true;
-  static constexpr const char* kReplacement = "lru";
-  static constexpr uint32_t kPageSize = 4096;
-  static constexpr size_t kBufferFrames = 128;
-  static constexpr size_t kStaticPoolBytes = 0;
 };
 using TelemetryNode = StaticEngine<TelemetryNodeCfg>;
 
@@ -133,20 +104,10 @@ using TelemetryNode = StaticEngine<TelemetryNodeCfg>;
 /// sub-feature (recycled segments archived for point-in-time recovery).
 /// Products without kBackup keep the legacy single-file log — and link
 /// zero bytes of the segment or backup machinery.
-struct ArchiveNodeCfg {
-  using IndexTag = BtreeTag;
-  static constexpr bool kPut = true;
-  static constexpr bool kRemove = true;
-  static constexpr bool kUpdate = true;
-  static constexpr bool kTransactions = true;
-  static constexpr bool kForceCommit = false;
+struct ArchiveNodeCfg : WorkstationCfg {
   static constexpr bool kBackup = true;
   static constexpr bool kPitr = true;
   static constexpr uint64_t kWalSegmentBytes = 64 * 1024;
-  static constexpr const char* kReplacement = "lru";
-  static constexpr uint32_t kPageSize = 4096;
-  static constexpr size_t kBufferFrames = 128;
-  static constexpr size_t kStaticPoolBytes = 0;
 };
 using ArchiveNode = StaticEngine<ArchiveNodeCfg>;
 
@@ -156,21 +117,11 @@ using ArchiveNode = StaticEngine<ArchiveNodeCfg>;
 /// promotion ceremony). Verify rides along — a replica that cannot scrub
 /// itself cannot detect divergence. Products without kReplication carry
 /// zero bytes of the fencing state or the fame::repl shipping loop.
-struct ReplicaSetCfg {
-  using IndexTag = BtreeTag;
-  static constexpr bool kPut = true;
-  static constexpr bool kRemove = true;
-  static constexpr bool kUpdate = true;
-  static constexpr bool kTransactions = true;
-  static constexpr bool kForceCommit = false;
+struct ReplicaSetCfg : WorkstationCfg {
   static constexpr bool kBackup = true;
   static constexpr bool kReplication = true;
   static constexpr bool kFailover = true;
   static constexpr uint64_t kWalSegmentBytes = 64 * 1024;
-  static constexpr const char* kReplacement = "lru";
-  static constexpr uint32_t kPageSize = 4096;
-  static constexpr size_t kBufferFrames = 128;
-  static constexpr size_t kStaticPoolBytes = 0;
 };
 using ReplicaSet = StaticEngine<ReplicaSetCfg>;
 
@@ -179,18 +130,8 @@ using ReplicaSet = StaticEngine<ReplicaSetCfg>;
 /// first-committer-wins commits (disjoint-key writers skip 2PL entirely)
 /// and watermark-driven version GC. Products without kMvcc keep the
 /// plain-bytes record codec and link zero fame::tx::mvcc symbols.
-struct VersionedStoreCfg {
-  using IndexTag = BtreeTag;
-  static constexpr bool kPut = true;
-  static constexpr bool kRemove = true;
-  static constexpr bool kUpdate = true;
-  static constexpr bool kTransactions = true;
-  static constexpr bool kForceCommit = false;
+struct VersionedStoreCfg : WorkstationCfg {
   static constexpr bool kMvcc = true;
-  static constexpr const char* kReplacement = "lru";
-  static constexpr uint32_t kPageSize = 4096;
-  static constexpr size_t kBufferFrames = 128;
-  static constexpr size_t kStaticPoolBytes = 0;
 };
 using VersionedStore = StaticEngine<VersionedStoreCfg>;
 

@@ -319,7 +319,7 @@ const SqlEngine::Predicate* SqlEngine::PickAccess(
 
 std::string SqlEngine::PlanName(const Predicate* access) const {
   if (access != nullptr && access->op == "=") return "point-lookup";
-  if (access != nullptr && optimizer_ && db_->HasFeature("B+-Tree")) {
+  if (access != nullptr && optimizer_ && db_->Has<Feature::kBPlusTree>()) {
     return "index-range";
   }
   return "full-scan";

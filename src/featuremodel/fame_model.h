@@ -15,92 +15,10 @@
 
 namespace fame::fm {
 
-/// DSL source of the FAME-DBMS feature model.
-inline constexpr const char kFameDbmsModelDsl[] = R"fm(
-// FAME-DBMS product line (paper Figure 2)
-feature FAME-DBMS {
-  mandatory OS-Abstraction abstract alternative {
-    mandatory Linux
-    mandatory Win32
-    mandatory NutOS
-  }
-  mandatory Buffer-Manager abstract {
-    mandatory Replacement abstract alternative {
-      mandatory LRU
-      mandatory LFU
-      mandatory Clock       // [extension] second-chance policy
-    }
-    mandatory Memory-Alloc abstract alternative {
-      mandatory Dynamic     // malloc-backed, slab pool on engine hot paths
-      mandatory Static      // fixed slab arena: zero heap after init
-    }
-  }
-  mandatory Storage abstract {
-    mandatory Index abstract alternative {
-      mandatory B+-Tree {
-        mandatory BTree-Search
-        optional BTree-Update
-        optional BTree-Remove
-      }
-      mandatory List
-    }
-    mandatory Data-Types abstract or {
-      mandatory Int-Types
-      mandatory String-Types
-      mandatory Blob-Types
-    }
-    optional Scrub        // [extension] online page scrubbing (idle-time)
-    optional Verify       // [extension] structural verification + report
-    optional Repair       // [extension] quarantine, salvage, rebuild
-    optional Concurrency  // [extension] sharded buffer pool + group commit
-    optional Observability {  // [extension] metrics registry + fame stats
-      optional Tracing        // [extension] causal span trees + trace ring
-      optional FlightRecorder // [extension] crash black box (<db>.blackbox)
-    }
-    optional Backup {     // [extension] segmented WAL + online hot backup
-      optional Pitr       // [extension] segment archiving + point-in-time restore
-    }
-    optional Replication {  // [extension] epoch-fenced WAL shipping
-      optional Failover     // [extension] integrity-gated promotion
-    }
-  }
-  mandatory Access abstract {
-    mandatory Get
-    mandatory Put
-    optional Remove
-    optional Update
-    optional ReverseScan  // [extension] descending cursor iteration
-  }
-  optional Transaction {
-    mandatory Commit-Protocol abstract alternative {
-      mandatory WAL-Redo
-      mandatory Force-Commit
-    }
-    optional Locking
-    optional Mvcc       // [extension] snapshot-isolation version chains
-  }
-  optional API
-  optional SQL-Engine
-  optional Optimizer
-}
-constraints {
-  Optimizer requires SQL-Engine;
-  SQL-Engine requires API;
-  SQL-Engine requires B+-Tree;
-  BTree-Update requires Update;
-  BTree-Remove requires Remove;
-  Transaction requires Update;
-  NutOS requires Static;
-  NutOS excludes SQL-Engine;
-  Repair requires Verify;
-  NutOS excludes Concurrency;
-  ReverseScan requires B+-Tree;
-  Backup requires Transaction;
-  Replication requires Backup;
-  Replication requires Verify;
-  Failover requires Replication;
-}
-)fm";
+/// DSL source of the FAME-DBMS feature model: the text of
+/// models/fame_dbms.fm, embedded by the build at configure time (the one
+/// model source; see fame_model_dsl.cc.in).
+extern const char kFameDbmsModelDsl[];
 
 /// Measured non-functional properties of the integrity features, in the
 /// FeedbackRepository text format (see nfp/feedback.h), so derivation can

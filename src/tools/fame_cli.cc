@@ -424,7 +424,7 @@ StatusOr<std::unique_ptr<core::Database>> OpenForStats(const char* path,
   }
   // One engine-op scan on top of the cursor drain: records the scan op
   // counter/latency and (with Tracing) an op begin/end span pair.
-  (void)(*db_or)->Scan([](const Slice&, uint64_t) { return true; });
+  (void)(*db_or)->Scan([](const Slice&, const Slice&) { return true; });
   return db_or;
 }
 

@@ -282,7 +282,9 @@ TEST(ConcurrentSlabTest, CrossThreadFreeStormSettlesToZero) {
 }
 
 // ---------------------------------------------------------------------------
-// Pooled object cache (cursor/transaction operator new).
+// Pooled object cache (cursor/transaction operator new); the pool exists
+// only where the slab memory path is compiled in.
+#if FAME_SLAB_ENABLED
 
 TEST(PooledObjectTest, SameThreadChurnHitsCache) {
   // Warm one block of this size class into the cache...
@@ -315,6 +317,7 @@ TEST(PooledObjectTest, UnsizedDeleteRoutesByHeader) {
   ThreadCacheStats st = PooledThreadStats();
   EXPECT_GT(st.returns, 0u);
 }
+#endif  // FAME_SLAB_ENABLED
 
 // ---------------------------------------------------------------------------
 // Zero-heap-after-init: a Memory-Alloc:Static product runs a full engine
@@ -323,6 +326,9 @@ TEST(PooledObjectTest, UnsizedDeleteRoutesByHeader) {
 // not heap; pooled cursor blocks, WAL/file growth, string capacity are
 // heap and must reach steady state); the measured pass repeats the exact
 // same traffic and must leave the global new-counter untouched.
+// The claim is the slab memory path's (arena allocator, pooled cursors), so
+// it is checked only where that path is compiled in.
+#if FAME_SLAB_ENABLED
 
 struct StaticCfg {
   using IndexTag = fame::core::BtreeTag;
@@ -399,6 +405,7 @@ TEST(ZeroHeapTest, StaticProductSteadyStateAllocatesNothing) {
 TEST(ZeroHeapTest, StaticLfuProductSteadyStateAllocatesNothing) {
   ExpectSteadyStateAllocatesNothing<StaticLfuCfg>();
 }
+#endif  // FAME_SLAB_ENABLED
 
 }  // namespace
 }  // namespace fame::osal::slab

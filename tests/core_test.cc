@@ -77,6 +77,13 @@ TEST(SchemaTest, EncodeDecodeRoundTrip) {
 
 // ------------------------------------------------------------ static products
 
+template <typename E>
+constexpr bool kHasRemove = requires(E& e) { e.Remove(Slice()); };
+template <typename E>
+constexpr bool kHasUpdate = requires(E& e) { e.Update(Slice(), Slice()); };
+template <typename E>
+constexpr bool kHasBegin = requires(E& e) { e.Begin(); };
+
 TEST(StaticProductTest, EmbeddedMinimalGetPutOnly) {
   auto env = osal::NewMemEnv(64 * 1024);
   EmbeddedMinimal db;
@@ -85,8 +92,10 @@ TEST(StaticProductTest, EmbeddedMinimalGetPutOnly) {
   std::string v;
   ASSERT_TRUE(db.Get("reading", &v).ok());
   EXPECT_EQ(v, "23.5C");
-  // db.Remove(...) / db.Update(...) / db.Begin() would each be a
-  // *compile-time* error here (static_assert on the unselected feature).
+  // The unselected surfaces do not exist: calling them is a compile-time
+  // error (the shell's `requires` clauses), not a runtime NotSupported.
+  static_assert(!kHasRemove<EmbeddedMinimal> && !kHasUpdate<EmbeddedMinimal>);
+  static_assert(!kHasBegin<EmbeddedMinimal> && kHasBegin<Workstation>);
   // Static allocation: all frames come from the fixed pool (the slab
   // arena when the slab feature is compiled in, the first-fit pool when
   // it is compiled out).

@@ -512,6 +512,25 @@ TEST(MvccDatabaseTest, RemoveAndUpdateHonorVisibleState) {
   EXPECT_EQ(v, "v3");
 }
 
+TEST(MvccDatabaseTest, ScanSkipsRemovedKeys) {
+  auto env = osal::NewMemEnv(0);
+  auto db = Database::Open(MvccOptions(env.get()));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_TRUE((*db)->Put("a", "1").ok());
+  ASSERT_TRUE((*db)->Put("b", "2").ok());
+  ASSERT_TRUE((*db)->Remove("a").ok());
+  // The full scan resolves every chain at a snapshot, like RangeScan: the
+  // tombstoned key is absent and values are record bytes, not chains.
+  std::vector<std::string> rows;
+  ASSERT_TRUE((*db)
+                  ->Scan([&rows](const Slice& k, const Slice& v) {
+                    rows.push_back(k.ToString() + "=" + v.ToString());
+                    return true;
+                  })
+                  .ok());
+  EXPECT_EQ(rows, std::vector<std::string>{"b=2"});
+}
+
 TEST(MvccDatabaseTest, ClockAndChainsSurviveReopen) {
   auto env = osal::NewMemEnv(0);
   uint64_t clock_before = 0;

@@ -762,7 +762,7 @@ void RunObsWorkload(core::Database* db) {
     ASSERT_TRUE(db->Commit(*txn_or).ok());
   }
   uint64_t rows = 0;
-  ASSERT_TRUE(db->Scan([&rows](const Slice&, uint64_t) {
+  ASSERT_TRUE(db->Scan([&rows](const Slice&, const Slice&) {
                   ++rows;
                   return true;
                 })

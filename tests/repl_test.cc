@@ -20,6 +20,7 @@
 
 #include "common/crc32.h"
 #include "core/database.h"
+#include "core/products.h"
 #include "obs/serialize.h"
 #include "osal/env.h"
 #include "osal/link_faults.h"
@@ -180,6 +181,27 @@ TEST(ReplTest, FollowerRoleIsEnforcedWithoutTheReplicationFeature) {
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   Status w = CommitPut(db->get(), 0, "rogue");
   EXPECT_TRUE(w.IsNotSupported()) << w.ToString();
+}
+
+TEST(ReplTest, StaticProductWithoutReplicationHonorsTheFollowerFence) {
+  auto env = osal::NewMemEnv(0);
+  {
+    core::ReplicaSet node;
+    ASSERT_TRUE(node.Open(env.get(), "node").ok());
+    ASSERT_TRUE(node.StartFollower(1).ok());
+  }
+  // ArchiveNode selects Backup but not Replication; the fence still holds.
+  core::ArchiveNode archive;
+  ASSERT_TRUE(archive.Open(env.get(), "node").ok());
+  Status put = archive.Put("k", "v");
+  EXPECT_TRUE(put.IsNotSupported()) << put.ToString();
+  auto txn = archive.Begin();
+  ASSERT_TRUE(txn.ok());
+  ASSERT_TRUE((*txn)->Put("core", "k", "v").ok());
+  Status commit = archive.Commit(*txn);
+  EXPECT_TRUE(commit.IsNotSupported()) << commit.ToString();
+  std::string v;
+  EXPECT_TRUE(archive.Get("k", &v).IsNotFound());
 }
 
 TEST(ReplTest, CheckpointedLeaderBootstrapsFreshFollower) {
