@@ -1,12 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the storage substrate: slotted
-// page operations, buffer-manager behaviour under the replacement
-// alternatives (LRU vs LFU vs Clock) at varying skew, and heap inserts
-// against growing heaps.
+// page operations, the CRC-32 behind every page seal and verify,
+// buffer-manager behaviour under the replacement alternatives (LRU vs LFU
+// vs Clock) at varying skew, and heap inserts against growing heaps.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/random.h"
 #include "osal/allocator.h"
 #include "osal/env.h"
@@ -43,6 +45,21 @@ void BM_PageChecksum(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 4096);
 }
 BENCHMARK(BM_PageChecksum);
+
+/// Crc32 over `range(0)` bytes starting `range(1)` bytes into a buffer, so
+/// a slowdown on unaligned input shows beside the aligned number.
+void BM_Crc32(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const size_t offset = static_cast<size_t>(state.range(1));
+  Random rng(32);
+  std::string buf = rng.NextString(offset + n);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(buf.data() + offset, n));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_Crc32)->ArgsProduct({{64, 1024, 4096}, {0, 3}});
 
 /// Buffer pool of 64 frames over 512 pages, point fetches with Zipf-ish
 /// skew; reports the hit rate per policy.

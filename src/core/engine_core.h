@@ -545,18 +545,19 @@ class EngineCore {
   }
 
   /// Rewrites an indexed record. In place when it still fits its page;
-  /// otherwise in publish-then-retire order — insert the new copy,
-  /// re-point the index entry at it, only then free the old slot — so a
-  /// lock-free reader (MVCC snapshot scans, concurrent gets) that already
-  /// read the old rid always finds a live record there: either copy is a
-  /// consistent state, never a freed slot. (Update's delete-then-reinsert
+  /// otherwise it moves to the heap's tail page (InsertAtTail), in
+  /// publish-then-retire order — insert the new copy, re-point the index
+  /// entry at it, only then free the old slot — so a lock-free reader
+  /// (MVCC snapshot scans, concurrent gets) that already read the old rid
+  /// always finds a live record there: either copy is a consistent state,
+  /// never a freed slot. (Update's delete-then-reinsert
   /// would leave the published rid dangling for the whole window until
   /// the index re-point, which spans a scheduling quantum in the worst
   /// case — far longer than any bounded reader retry.)
   Status UpdateRecord(const Slice& key, storage::Rid rid, const Slice& rec) {
     Status s = heap_->UpdateInPlace(rid, rec);
     if (s.code() != StatusCode::kResourceExhausted) return s;
-    auto moved_or = heap_->Insert(rec);
+    auto moved_or = heap_->InsertAtTail(rec);
     FAME_RETURN_IF_ERROR(moved_or.status());
     FAME_RETURN_IF_ERROR(index_->Insert(key, moved_or.value().Pack()));
     return heap_->Delete(rid);

@@ -308,8 +308,9 @@ BasicBufferManager<Threading>::Create(PageFile* file, size_t pool_frames,
   if (policy == nullptr) {
     return Status::InvalidArgument("replacement policy required");
   }
-  size_t nshards = Threading::kDefaultShards;
-  if (nshards > pool_frames) nshards = pool_frames;
+  size_t nshards = pool_frames / Threading::kMinShardFrames;
+  if (nshards == 0) nshards = 1;
+  if (nshards > Threading::kDefaultShards) nshards = Threading::kDefaultShards;
   std::unique_ptr<BasicBufferManager> bm(
       new BasicBufferManager(file, allocator));
   bm->shard_count_ = nshards;

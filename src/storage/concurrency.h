@@ -59,6 +59,7 @@ struct SingleThreaded {
   /// One partition: page-id hashing degenerates to a constant the
   /// compiler folds away.
   static constexpr size_t kDefaultShards = 1;
+  static constexpr size_t kMinShardFrames = 1;
 
   struct Mutex {
     void lock() {}

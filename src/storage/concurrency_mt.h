@@ -25,6 +25,11 @@ struct MultiThreaded {
   /// its own frames, page table, replacement policy, and stats, so threads
   /// touching different shards never contend.
   static constexpr size_t kDefaultShards = 16;
+  /// Fewest frames a shard gets. A fetch fails once every frame of its
+  /// shard is pinned, however idle the other shards are, so a small pool
+  /// gets fewer shards rather than shards too small for the pins of
+  /// concurrent readers (each holds up to two while it descends).
+  static constexpr size_t kMinShardFrames = 8;
 
   using Mutex = std::mutex;
   using SharedMutex = std::shared_mutex;

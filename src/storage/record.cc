@@ -42,11 +42,14 @@ void RecordManager::Refresh(PageId id, const Page& page) {
   }
 }
 
-StatusOr<PageId> RecordManager::FindPageWithSpace(size_t need) {
-  for (const Visited& v : chain_) {
-    if (v.room >= need) return v.id;
+StatusOr<PageId> RecordManager::FindPageWithSpace(size_t need, bool at_tail) {
+  if (!at_tail) {
+    for (const Visited& v : chain_) {
+      if (v.room >= need) return v.id;
+    }
   }
-  // No fit among the walked pages: resume the walk where the memo ends.
+  // No fit among the walked pages (or the tail is wanted): resume the walk
+  // where the memo ends.
   while (resume_ != kInvalidPageId) {
     const PageId id = resume_;
     FAME_ASSIGN_OR_RETURN(PageGuard guard, buffers_->Fetch(id));
@@ -54,10 +57,11 @@ StatusOr<PageId> RecordManager::FindPageWithSpace(size_t need) {
     const uint32_t room = Room(page);
     Remember(id, room);
     resume_ = page.next_page();
-    if (room >= need) return id;
+    if (!at_tail && room >= need) return id;
   }
-  // Chain exhausted: append a page. The memo covers the whole chain now, so
-  // its last entry is the tail.
+  // The memo covers the whole chain now, so its last entry is the tail.
+  if (at_tail && chain_.back().room >= need) return chain_.back().id;
+  // Append a page.
   FAME_ASSIGN_OR_RETURN(PageGuard fresh, buffers_->New(PageType::kHeap));
   PageId fresh_id = fresh.id();
   fresh.MarkDirty();
@@ -71,12 +75,20 @@ StatusOr<PageId> RecordManager::FindPageWithSpace(size_t need) {
 }
 
 StatusOr<Rid> RecordManager::Insert(const Slice& record) {
+  return Place(record, /*at_tail=*/false);
+}
+
+StatusOr<Rid> RecordManager::InsertAtTail(const Slice& record) {
+  return Place(record, /*at_tail=*/true);
+}
+
+StatusOr<Rid> RecordManager::Place(const Slice& record, bool at_tail) {
   size_t need = record.size() + Page::kSlotSize;
   if (need + Page::kHeaderSize + Page::kSlotSize >
       buffers_->file()->page_size()) {
     return Status::InvalidArgument("record larger than a page");
   }
-  FAME_ASSIGN_OR_RETURN(PageId id, FindPageWithSpace(need));
+  FAME_ASSIGN_OR_RETURN(PageId id, FindPageWithSpace(need, at_tail));
   FAME_ASSIGN_OR_RETURN(PageGuard guard, buffers_->Fetch(id));
   Page page = guard.page();
   auto slot_or = page.Insert(record);
@@ -115,12 +127,12 @@ Status RecordManager::Update(Rid* rid, const Slice& record) {
       return Status::OK();
     }
     if (s.code() != StatusCode::kResourceExhausted) return s;
-    // Doesn't fit on its page: delete here, reinsert elsewhere.
+    // Doesn't fit on its page: delete here, reinsert at the tail.
     FAME_RETURN_IF_ERROR(page.Delete(rid->slot));
     guard.MarkDirty();
     Refresh(rid->page, page);
   }
-  FAME_ASSIGN_OR_RETURN(Rid moved, Insert(record));
+  FAME_ASSIGN_OR_RETURN(Rid moved, InsertAtTail(record));
   *rid = moved;
   return Status::OK();
 }

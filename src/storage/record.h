@@ -2,7 +2,8 @@
 // manager. Records are addressed by RID {page, slot}. Pages with free space
 // are kept on a simple chain threaded through Page::next_page; inserts take
 // the first page in chain order with room, found through an in-memory memo
-// of the chain rather than by fetching every page.
+// of the chain rather than by fetching every page. A record that outgrows
+// its page moves to the tail page instead (see InsertAtTail).
 #ifndef FAME_STORAGE_RECORD_H_
 #define FAME_STORAGE_RECORD_H_
 
@@ -45,8 +46,17 @@ class RecordManager {
   static StatusOr<std::unique_ptr<RecordManager>> Open(BufferManager* buffers,
                                                        const std::string& name);
 
-  /// Inserts a record, returning its RID.
+  /// Inserts a record on the first page in chain order with room,
+  /// returning its RID.
   StatusOr<Rid> Insert(const Slice& record);
+
+  /// Inserts a relocated record on the tail page, appending a page only
+  /// when the tail has no room. Holes earlier in the chain are left to
+  /// fresh inserts: a record that outgrew its page would otherwise land in
+  /// room just freed by shrinking neighbours, whose own regrowth then
+  /// relocates them in turn, and so on (MVCC chains that GC prunes and
+  /// later commits regrow). On the tail it sits among other movers.
+  StatusOr<Rid> InsertAtTail(const Slice& record);
 
   /// Reads the record at `rid` into `out`.
   Status Get(const Rid& rid, std::string* out);
@@ -57,8 +67,9 @@ class RecordManager {
   Status Get(const Rid& rid, char* buf, size_t cap, size_t* len);
 
   /// Replaces the record at `rid` in place. If the new value no longer fits
-  /// on its page, the record moves and `*rid` is updated (callers owning
-  /// index entries must re-point them; the engine layers do).
+  /// on its page, the record moves to the tail and `*rid` is updated
+  /// (callers owning index entries must re-point them; the engine layers
+  /// do).
   Status Update(Rid* rid, const Slice& record);
 
   /// In-place-only variant: ResourceExhausted when the new value no longer
@@ -83,10 +94,15 @@ class RecordManager {
   RecordManager(BufferManager* buffers, std::string name)
       : buffers_(buffers), name_(std::move(name)) {}
 
+  /// Insert and InsertAtTail: places `record` on the page
+  /// FindPageWithSpace picks.
+  StatusOr<Rid> Place(const Slice& record, bool at_tail);
+
   /// Finds (or appends) the first page in chain order with at least `need`
   /// bytes of room (free plus reclaimable), without fetching any page the
-  /// memo already covers.
-  StatusOr<PageId> FindPageWithSpace(size_t need);
+  /// memo already covers. With `at_tail`, only the tail page is a candidate;
+  /// the walk runs to the end of the chain once, and the memo then holds it.
+  StatusOr<PageId> FindPageWithSpace(size_t need, bool at_tail);
 
   /// Appends the next chain page and its room to the memo.
   void Remember(PageId id, uint32_t room);

@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/random.h"
 #include "core/database.h"
 #include "core/products.h"
 #include "core/sql.h"
@@ -718,6 +719,67 @@ TEST(MvccStaticEngineTest, ConflictsGcAndReopen) {
   std::string v;
   ASSERT_TRUE(db.Get("k", &v).ok());
   EXPECT_EQ(v, "gen3");
+}
+
+// GC shrinks hot keys' version chains and later commits regrow them. A
+// chain that outgrows its page moves; if it moved into room that GC just
+// freed, that page's own chains would move when they regrow, and so on for
+// as long as the store runs. Relocations go to the heap tail instead, so
+// the motion dies out once the hot chains have gathered there.
+TEST(MvccStaticEngineTest, RegrownChainsStopRelocatingAfterGc) {
+  constexpr uint64_t kKeys = 4'000;
+  constexpr int kRounds = 40;
+  constexpr int kCommitsPerRound = 2'000;
+  constexpr size_t kValueBytes = 64;
+  auto env = osal::NewMemEnv(0);
+  core::VersionedStore db;
+  ASSERT_TRUE(db.Open(env.get(), "vs").ok());
+  Random rng(16);
+  auto key_of = [](uint64_t i) {
+    std::string k = std::to_string(i);
+    return "key" + std::string(5 - k.size(), '0') + k;
+  };
+  for (uint64_t lo = 0; lo < kKeys; lo += 500) {
+    auto txn = db.Begin();
+    ASSERT_TRUE(txn.ok());
+    for (uint64_t i = lo; i < lo + 500; ++i) {
+      ASSERT_TRUE(
+          (*txn)->Put("core", key_of(i), rng.NextString(kValueBytes)).ok());
+    }
+    ASSERT_TRUE(db.Commit(*txn).ok());
+  }
+  std::vector<uint64_t> rids(kKeys);
+  auto count_moves = [&] {
+    uint64_t moved = 0;
+    for (uint64_t i = 0; i < kKeys; ++i) {
+      uint64_t packed = 0;
+      EXPECT_TRUE(db.index()->Lookup(key_of(i), &packed).ok());
+      moved += packed != rids[i];
+      rids[i] = packed;
+    }
+    return moved;
+  };
+  count_moves();
+  std::string per_round;  // the whole series, for the failure message
+  std::vector<uint64_t> moves;
+  for (int round = 0; round < kRounds; ++round) {
+    for (int c = 0; c < kCommitsPerRound; ++c) {
+      auto txn = db.Begin();
+      ASSERT_TRUE(txn.ok());
+      ASSERT_TRUE((*txn)->Put("core", key_of(rng.Skewed(kKeys)),
+                              rng.NextString(kValueBytes))
+                      .ok());
+      ASSERT_TRUE(db.Commit(*txn).ok());
+    }
+    ASSERT_TRUE(db.MvccGc().ok());
+    moves.push_back(count_moves());
+    per_round += " " + std::to_string(moves.back());
+  }
+  RecordProperty("relocations_per_round", per_round);
+  for (int round = kRounds - 10; round < kRounds; ++round) {
+    EXPECT_LE(moves[round], kKeys / 100)
+        << "round " << round + 1 << "; relocations per round:" << per_round;
+  }
 }
 
 // ------------------------------------------------------- concurrency

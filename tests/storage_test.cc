@@ -1060,6 +1060,31 @@ TEST_F(HeapMemoTest, InsertPicksTheFirstFitOfAChainWalk) {
   }
 }
 
+TEST_F(HeapMemoTest, RecordsThatOutgrowTheirPageMoveToTheTail) {
+  Random rng(7);
+  ASSERT_NO_FATAL_FAILURE(Churn(&rng, 800));
+  // A reopened heap has not walked as far as its tail yet.
+  ASSERT_NO_FATAL_FAILURE(Reopen());
+  int moved = 0;
+  for (int i = 0; i < 200; ++i) {
+    auto& [rid, rec] = live_[rng.Uniform(live_.size())];
+    const Rid before = rid;
+    const size_t len = rec.size() + 1 + rng.Uniform(80);
+    std::string grown = rng.NextString(std::min<size_t>(len, 300));
+    ASSERT_TRUE(rm_->Update(&rid, grown).ok());
+    rec = std::move(grown);
+    if (rid == before) continue;  // still fit its page
+    ++moved;
+    std::vector<PageId> chain;
+    FirstFitByWalk(bm_.get(), "t", 0, &chain);
+    ASSERT_EQ(chain.back(), rid.page) << "update " << i;
+  }
+  EXPECT_GT(moved, 0);
+  // Fresh inserts still take the first fit.
+  ASSERT_NO_FATAL_FAILURE(Churn(&rng, 400));
+  ASSERT_NO_FATAL_FAILURE(ExpectLiveRecords());
+}
+
 /// Buffer fetches for `inserts` fixed-size inserts into a heap that already
 /// holds `pages` full pages; the first insert starts a fresh tail page.
 uint64_t FetchesForInserts(size_t pages, int inserts) {

@@ -7,6 +7,7 @@
 //   (no args)      self-test: exercise every compiled-in feature, print OK
 //   --bench N      run the Figure 1b workload: N point queries over 10k
 //                  keys, print "mops=<millions of queries per second>"
+//   --frames F     (after --bench N) buffer pool size; default 64
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -21,6 +22,7 @@ int main(int argc, char** argv) {
   auto env = osal::NewMemEnv(0);
   FameBdbC::Options opts;
   opts.env_flags = DB_CREATE;
+  fame::variants::ApplyFramesArg(argc, argv, &opts.bundle.buffer_frames);
 #if defined(FAMEBDB_HAVE_TRANSACTIONS)
   opts.env_flags |= DB_INIT_TXN;
 #endif

@@ -4,7 +4,7 @@
 // layers of that product are instantiated, so each binary carries exactly
 // its configuration's code.
 //
-// Modes match c_main.cc: self-test (default) and `--bench N`.
+// Modes match c_main.cc: self-test (default) and `--bench N [--frames F]`.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -51,7 +51,9 @@ template <typename Product>
 int Run(int argc, char** argv) {
   auto env = osal::NewMemEnv(0);
   Product db;
-  if (!db.Open(env.get(), "db", BundleOptions{}).ok()) return 1;
+  BundleOptions bundle;
+  variants::ApplyFramesArg(argc, argv, &bundle.buffer_frames);
+  if (!db.Open(env.get(), "db", bundle).ok()) return 1;
   if constexpr (HasCrypto<Product>) {
     db.SetPassphrase("variant");
   }

@@ -4,6 +4,9 @@
 #ifndef FAME_VARIANTS_WORKLOAD_H_
 #define FAME_VARIANTS_WORKLOAD_H_
 
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <string>
 
@@ -16,6 +19,13 @@
 namespace fame::variants {
 
 inline constexpr uint64_t kLoadKeys = 10'000;
+
+/// Applies `--bench N --frames F`: F buffer frames instead of the default.
+inline void ApplyFramesArg(int argc, char** argv, size_t* frames) {
+  if (argc >= 5 && std::strcmp(argv[3], "--frames") == 0) {
+    *frames = static_cast<size_t>(std::strtoull(argv[4], nullptr, 10));
+  }
+}
 
 /// Runs the standard workload; returns millions of queries per second.
 /// Exits the process on unexpected errors (variant binaries are tiny test
