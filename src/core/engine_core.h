@@ -7,10 +7,17 @@
 // (FeatureC++-style, §2.3), so every call devirtualizes. Feature gating,
 // latching and tx plumbing stay in the shell.
 //
-// Record format in the heap: [varint32 klen][key][value]. The key is
-// embedded so a record is self-identifying — Get cross-checks it against
-// the index to catch a stale or cross-linked rid as Corruption instead of
-// returning another key's value.
+// Record format in the heap: [varint32 klen][key][value], read and written
+// only through the record codec below (SplitRecord / RecordValue /
+// EncodeRecord). The key is embedded so a record is self-identifying — Get
+// cross-checks it against the index to catch a stale or cross-linked rid as
+// Corruption instead of returning another key's value.
+//
+// Reads have one loop per traversal shape (VisitRange, VisitPrefix,
+// VisitReverse), generic over the cursor: the plain heap-joining
+// EngineCursor, or the [feature Mvcc] SnapshotCursor that resolves each
+// position's version chain. The shell picks the cursor; the loops are the
+// same code for both.
 #ifndef FAME_CORE_ENGINE_CORE_H_
 #define FAME_CORE_ENGINE_CORE_H_
 
@@ -54,6 +61,58 @@ inline constexpr size_t kInlineRecordBytes = 512;
 /// bounded, so genuine corruption (a stale rid in a quiesced database)
 /// still surfaces after this many refreshes.
 inline constexpr int kStaleJoinRetries = 8;
+
+// ---- core record codec: [varint32 klen][key][value] ----
+
+/// Splits a core record into its key and value; false when the bytes
+/// cannot possibly be a record.
+inline bool SplitRecord(const Slice& rec, Slice* key, Slice* value) {
+  Slice in = rec;
+  uint32_t klen = 0;
+  if (!GetVarint32(&in, &klen) || in.size() < klen) return false;
+  *key = Slice(in.data(), klen);
+  *value = Slice(in.data() + klen, in.size() - klen);
+  return true;
+}
+
+/// The value of `rec`, checked to be the record of `key`: Corruption for
+/// bytes that are not a record or that belong to another key (a stale or
+/// cross-linked rid).
+inline Status RecordValue(const Slice& rec, const Slice& key, Slice* value) {
+  Slice stored;
+  if (!SplitRecord(rec, &stored, value)) {
+    return Status::Corruption("bad core record");
+  }
+  if (stored != key) {
+    return Status::Corruption("index points at the wrong record");
+  }
+  return Status::OK();
+}
+
+inline std::string EncodeRecord(const Slice& key, const Slice& value) {
+  std::string rec;
+  PutVarint32(&rec, static_cast<uint32_t>(key.size()));
+  rec.append(key.data(), key.size());
+  rec.append(value.data(), value.size());
+  return rec;
+}
+
+/// Encodes into `buf` when the record fits (the common case on embedded
+/// products — Put stays heap-free), else into `*spill`.
+inline Slice EncodeRecordInto(const Slice& key, const Slice& value, char* buf,
+                              size_t cap, std::string* spill) {
+  const size_t worst = 5 + key.size() + value.size();  // varint32 <= 5
+  if (worst > cap) {
+    *spill = EncodeRecord(key, value);
+    return Slice(*spill);
+  }
+  char* p = EncodeVarint32(buf, static_cast<uint32_t>(key.size()));
+  std::memcpy(p, key.data(), key.size());
+  p += key.size();
+  std::memcpy(p, value.data(), value.size());
+  p += value.size();
+  return Slice(buf, static_cast<size_t>(p - buf));
+}
 
 /// Pull-based cursor over engine records: iterates the index cursor and
 /// joins each entry's Rid through the RecordManager *lazily* — value() does
@@ -196,15 +255,7 @@ class EngineCursor {
       rec = Slice(record_);
     }
     FAME_RETURN_IF_ERROR(s);
-    Slice in = rec;
-    uint32_t klen = 0;
-    if (!GetVarint32(&in, &klen) || in.size() < klen) {
-      return Status::Corruption("bad core record");
-    }
-    if (Slice(in.data(), klen) != base_->key()) {
-      return Status::Corruption("index points at the wrong record");
-    }
-    value_ = Slice(in.data() + klen, in.size() - klen);
+    FAME_RETURN_IF_ERROR(RecordValue(rec, base_->key(), &value_));
     loaded_ = true;
     FAME_OBS(++returned_;)
     return Status::OK();
@@ -260,7 +311,7 @@ class EngineCursor {
 /// resolving to exactly the version the snapshot saw — that is the
 /// snapshot-stability guarantee the cursor conformance suite checks.
 ///
-/// Concurrency model (the `latch` argument): MVCC readers take no table
+/// Concurrency model (the `mgr` argument): MVCC readers take no table
 /// locks, so writers stay free to commit during a scan — but a commit can
 /// physically move bytes (heap-page compaction, record relocation, B+-tree
 /// splits up to a root change), and the engine composes the footprint-free
@@ -273,8 +324,8 @@ class EngineCursor {
 /// between steps. The latch spans one step, never the whole scan: a
 /// reader never blocks on a writer *transaction* (there are no row locks
 /// and commits hold the latch only per physical mutation), it only queues
-/// behind one descent + heap join. Without a latch (single-threaded
-/// engines) the cheap pinned-leaf stepping is kept as-is.
+/// behind one descent + heap join. Without a manager there is no latch,
+/// and the cheap pinned-leaf stepping is kept as-is.
 ///
 /// All members are inline and only emitted when odr-used, so products
 /// without the Mvcc sub-feature never reference the mvcc codec objects.
@@ -285,16 +336,10 @@ class SnapshotCursor {
   /// destruction. Without the pin, a concurrent write's inline prune
   /// (prune_below = Watermark()) could drop the very versions this cursor
   /// still resolves — the watermark must not advance past ts_ while the
-  /// cursor lives. `latch` (optional, defaults to `mgr`) supplies the
-  /// physical latch only — pass it alone for scans whose snapshot is
-  /// pinned by the caller (the engine visitor adapters do).
+  /// cursor lives. `mgr` also supplies the per-step physical latch.
   SnapshotCursor(EngineCursor base, uint64_t ts,
-                 tx::mvcc::MvccManager* mgr = nullptr,
-                 tx::mvcc::MvccManager* latch = nullptr)
-      : base_(std::move(base)),
-        ts_(ts),
-        mgr_(mgr),
-        latch_(latch != nullptr ? latch : mgr) {}
+                 tx::mvcc::MvccManager* mgr = nullptr)
+      : base_(std::move(base)), ts_(ts), mgr_(mgr) {}
   ~SnapshotCursor() {
     if (mgr_ != nullptr) mgr_->ReleaseSnapshot(ts_);
   }
@@ -305,8 +350,7 @@ class SnapshotCursor {
         status_(std::move(o.status_)),
         pos_(std::move(o.pos_)),
         has_pos_(o.has_pos_),
-        mgr_(o.mgr_),
-        latch_(o.latch_) {
+        mgr_(o.mgr_) {
     o.mgr_ = nullptr;
   }
   SnapshotCursor& operator=(SnapshotCursor&& o) noexcept {
@@ -319,7 +363,6 @@ class SnapshotCursor {
       pos_ = std::move(o.pos_);
       has_pos_ = o.has_pos_;
       mgr_ = o.mgr_;
-      latch_ = o.latch_;
       o.mgr_ = nullptr;
     }
     return *this;
@@ -340,7 +383,7 @@ class SnapshotCursor {
   bool Valid() const { return status_.ok() && base_.Valid(); }
   void Next() {
     auto step = LockStep();
-    if (latch_ != nullptr && has_pos_) {
+    if (mgr_ != nullptr && has_pos_) {
       // Fresh descent to the last settled key: the base cursor's pinned
       // leaf may have been split or compacted since the previous step, so
       // its cached position (leaf frame, entry index, entry count) cannot
@@ -374,7 +417,7 @@ class SnapshotCursor {
   }
   void Prev() {
     auto step = LockStep();
-    if (latch_ != nullptr && has_pos_) {
+    if (mgr_ != nullptr && has_pos_) {
       // Predecessor via fresh descent: land at the smallest key >= pos_,
       // then one step back. When every key is now < pos_ the predecessor
       // is the last key overall.
@@ -398,8 +441,8 @@ class SnapshotCursor {
   /// keeps pin counts as plain integers, so concurrent reader steps would
   /// race on them even though neither moves bytes.
   std::unique_lock<std::shared_mutex> LockStep() {
-    return latch_ != nullptr
-               ? std::unique_lock<std::shared_mutex>(latch_->PhysLatch())
+    return mgr_ != nullptr
+               ? std::unique_lock<std::shared_mutex>(mgr_->PhysLatch())
                : std::unique_lock<std::shared_mutex>();
   }
 
@@ -435,9 +478,90 @@ class SnapshotCursor {
   Status status_;
   std::string pos_;   // settled key; re-descent anchor and key() storage
   bool has_pos_ = false;
-  tx::mvcc::MvccManager* mgr_ = nullptr;    // released on destruction
-  tx::mvcc::MvccManager* latch_ = nullptr;  // physical latch only
+  tx::mvcc::MvccManager* mgr_ = nullptr;  // released on destruction
 };
+
+// ---- visitor loops, one per traversal shape ----
+// Generic over the cursor: an EngineCursor (plain records) or a
+// SnapshotCursor (each position resolved at its snapshot, invisible keys
+// skipped). The visitor sees (key, value bytes) and returns keep-going; a
+// failed heap join or chain corruption ends the walk and is returned.
+
+/// lo <= key < hi, ascending (empty bounds are open). `ordered` must match
+/// the access method: when false, out-of-range keys are filtered instead of
+/// terminating the walk.
+template <typename Cursor>
+Status VisitRange(Cursor& c, const Slice& lo, const Slice& hi, bool ordered,
+                  const KvVisitor& fn) {
+  if (lo.empty()) {
+    c.SeekToFirst();
+  } else {
+    c.Seek(lo);
+  }
+  for (; c.Valid(); c.Next()) {
+    if (!hi.empty() && c.key().compare(hi) >= 0) {
+      if (ordered) break;
+      continue;
+    }
+    Slice v = c.value();
+    if (!c.Valid()) break;  // heap join failed; status() has the error
+    if (!fn(c.key(), v)) break;
+  }
+  return c.status();
+}
+
+/// All records whose key starts with `prefix`: a bounded range on an
+/// ordered index, a filtered full scan otherwise.
+template <typename Cursor>
+Status VisitPrefix(Cursor& c, const Slice& prefix, bool ordered,
+                   const KvVisitor& fn) {
+  if (!ordered) {
+    return VisitRange(c, Slice(), Slice(), false,
+                      [&](const Slice& k, const Slice& v) {
+                        return k.starts_with(prefix) ? fn(k, v) : true;
+                      });
+  }
+  // Smallest key past every key with the prefix ("" = unbounded, for an
+  // all-0xff prefix).
+  std::string hi = prefix.ToString();
+  while (!hi.empty() && static_cast<unsigned char>(hi.back()) == 0xff) {
+    hi.pop_back();
+  }
+  if (!hi.empty()) hi.back() = static_cast<char>(hi.back() + 1);
+  return VisitRange(c, prefix, Slice(hi), true, fn);
+}
+
+/// Descending over [lo, hi) (empty hi = from the last key) — the
+/// ReverseScan feature. The caller gates on feature selection; the access
+/// method must support reverse.
+template <typename Cursor>
+Status VisitReverse(Cursor& c, const Slice& lo, const Slice& hi,
+                    const KvVisitor& fn) {
+  if (!c.SupportsReverse()) {
+    return Status::NotSupported("access method has no reverse iteration");
+  }
+  if (hi.empty()) {
+    c.SeekToLast();
+  } else {
+    // Predecessor of hi: the entry before the first key >= hi, or the last
+    // entry overall when every key is < hi. A snapshot cursor's Seek
+    // settles on the first *visible* key >= hi, so one Prev lands on the
+    // last visible key < hi.
+    c.Seek(hi);
+    if (c.Valid()) {
+      c.Prev();
+    } else if (c.status().ok()) {
+      c.SeekToLast();
+    }
+  }
+  for (; c.Valid(); c.Prev()) {
+    if (!lo.empty() && c.key().compare(lo) < 0) break;
+    Slice v = c.value();
+    if (!c.Valid()) break;  // heap join failed; status() has the error
+    if (!fn(c.key(), v)) break;
+  }
+  return c.status();
+}
 
 template <typename IndexT>
 class EngineCore {
@@ -449,52 +573,11 @@ class EngineCore {
     index_ = index;
   }
 
-  IndexT* index() { return index_; }
-
 #if FAME_OBS_ENABLED
   /// [feature Observability] Sink wired into every cursor this core opens
   /// (the owner engine points it at its registry's cursor metrics).
   void SetCursorSink(obs::CursorSink sink) { cursor_sink_ = sink; }
 #endif
-
-  static std::string EncodeRecord(const Slice& key, const Slice& value) {
-    std::string rec;
-    PutVarint32(&rec, static_cast<uint32_t>(key.size()));
-    rec.append(key.data(), key.size());
-    rec.append(value.data(), value.size());
-    return rec;
-  }
-
-  /// Encodes into `buf` when the record fits (the common case on embedded
-  /// products — Put stays heap-free), else into `*spill`.
-  static Slice EncodeRecordInto(const Slice& key, const Slice& value,
-                                char* buf, size_t cap, std::string* spill) {
-    const size_t worst = 5 + key.size() + value.size();  // varint32 <= 5
-    if (worst > cap) {
-      *spill = EncodeRecord(key, value);
-      return Slice(*spill);
-    }
-    char* p = EncodeVarint32(buf, static_cast<uint32_t>(key.size()));
-    std::memcpy(p, key.data(), key.size());
-    p += key.size();
-    std::memcpy(p, value.data(), value.size());
-    p += value.size();
-    return Slice(buf, static_cast<size_t>(p - buf));
-  }
-
-  static Status DecodeRecord(const Slice& rec, const Slice& expect_key,
-                             std::string* value) {
-    Slice in = rec;
-    uint32_t klen = 0;
-    if (!GetVarint32(&in, &klen) || in.size() < klen) {
-      return Status::Corruption("bad core record");
-    }
-    if (Slice(in.data(), klen) != expect_key) {
-      return Status::Corruption("index points at the wrong record");
-    }
-    value->assign(in.data() + klen, in.size() - klen);
-    return Status::OK();
-  }
 
   Status Get(const Slice& key, std::string* value) {
     // Bounded refresh on a stale rid (kStaleJoinRetries): a concurrent
@@ -509,18 +592,10 @@ class EngineCore {
       // prefix in place: no temporary, and a reused `value` keeps its
       // capacity — steady-state gets never touch the heap.
       s = heap_->Get(storage::Rid::Unpack(packed), value);
+      Slice v;
+      if (s.ok()) s = RecordValue(Slice(*value), key, &v);
       if (!s.ok()) continue;
-      Slice in(*value);
-      uint32_t klen = 0;
-      if (!GetVarint32(&in, &klen) || in.size() < klen) {
-        s = Status::Corruption("bad core record");
-        continue;
-      }
-      if (Slice(in.data(), klen) != key) {
-        s = Status::Corruption("index points at the wrong record");
-        continue;
-      }
-      value->erase(0, value->size() - (in.size() - klen));
+      value->erase(0, value->size() - v.size());
       return Status::OK();
     }
     return s;
@@ -579,59 +654,6 @@ class EngineCore {
     return cur;
   }
 
-  /// Visitor adapters over the cursor — the legacy entry points.
-  Status Scan(const KvVisitor& fn) {
-    return ScanRange(Slice(), Slice(), /*ordered=*/true, fn);
-  }
-
-  /// lo <= key < hi. `ordered` must match the access method: when false,
-  /// out-of-range keys are filtered instead of terminating the walk.
-  Status RangeScan(const Slice& lo, const Slice& hi, bool ordered,
-                   const KvVisitor& fn) {
-    return ScanRange(lo, hi, ordered, fn);
-  }
-
-  /// All records whose key starts with `prefix`: a bounded range on an
-  /// ordered index, a filtered full scan otherwise.
-  Status ScanPrefix(const Slice& prefix, bool ordered, const KvVisitor& fn) {
-    if (!ordered) {
-      return ScanRange(Slice(), Slice(), false, [&](const Slice& k,
-                                                    const Slice& v) {
-        return k.starts_with(prefix) ? fn(k, v) : true;
-      });
-    }
-    std::string hi = PrefixUpperBound(prefix);
-    return ScanRange(prefix, Slice(hi), true, fn);
-  }
-
-  /// Descending over [lo, hi) — the ReverseScan feature. The caller gates
-  /// on feature selection; the access method must support reverse.
-  Status ReverseScan(const Slice& lo, const Slice& hi, const KvVisitor& fn) {
-    FAME_ASSIGN_OR_RETURN(EngineCursor c, NewCursor());
-    if (!c.SupportsReverse()) {
-      return Status::NotSupported("access method has no reverse iteration");
-    }
-    if (hi.empty()) {
-      c.SeekToLast();
-    } else {
-      // Predecessor of hi: the entry before the first key >= hi (the last
-      // entry overall when every key is < hi).
-      c.Seek(hi);
-      if (c.Valid()) {
-        c.Prev();
-      } else if (c.status().ok()) {
-        c.SeekToLast();
-      }
-    }
-    for (; c.Valid(); c.Prev()) {
-      if (!lo.empty() && c.key().compare(lo) < 0) break;
-      Slice v = c.value();
-      if (!c.Valid()) break;  // heap join failed; status() has the error
-      if (!fn(c.key(), v)) break;
-    }
-    return c.status();
-  }
-
   // ---- [feature Mvcc] versioned record path ----------------------------
   // Template members: instantiated — and the mvcc codec objects pulled out
   // of the tx library — only when a product that selects Mvcc calls them.
@@ -657,22 +679,13 @@ class EngineCore {
     }
     uint64_t packed = 0;
     Status found = index_->Lookup(key, &packed);
-    std::string chain;
+    std::string rec_bytes;
+    Slice chain;
     storage::Rid rid;
-    bool exists = false;
     if (found.ok()) {
       rid = storage::Rid::Unpack(packed);
-      FAME_RETURN_IF_ERROR(heap_->Get(rid, &chain));
-      Slice in(chain);
-      uint32_t klen = 0;
-      if (!GetVarint32(&in, &klen) || in.size() < klen) {
-        return Status::Corruption("bad core record");
-      }
-      if (Slice(in.data(), klen) != key) {
-        return Status::Corruption("index points at the wrong record");
-      }
-      chain.erase(0, chain.size() - (in.size() - klen));
-      exists = true;
+      FAME_RETURN_IF_ERROR(heap_->Get(rid, &rec_bytes));
+      FAME_RETURN_IF_ERROR(RecordValue(Slice(rec_bytes), key, &chain));
       // Strictly-newer heads mean this write was already applied AND
       // superseded — a replayed tail behind a later checkpoint. An equal
       // ts falls through: ops of one transaction share its commit ts and
@@ -682,15 +695,15 @@ class EngineCore {
       return found;
     }
     std::string next;
-    uint32_t entries = tx::mvcc::AppendVersion(Slice(chain), commit_ts,
-                                               tombstone, Slice(value),
-                                               prune_below, &next);
+    uint32_t entries = tx::mvcc::AppendVersion(chain, commit_ts, tombstone,
+                                               Slice(value), prune_below,
+                                               &next);
     if (mgr != nullptr) mgr->RecordChainLen(entries);
     char inline_rec[kInlineRecordBytes];
     std::string spill;
     Slice rec = EncodeRecordInto(key, Slice(next), inline_rec,
                                  sizeof(inline_rec), &spill);
-    if (exists) {
+    if (found.ok()) {
       // Publish-then-retire (UpdateRecord): snapshot readers hold rids
       // with no latch, so the old slot must outlive the index re-point.
       return UpdateRecord(key, rid, rec);
@@ -710,18 +723,7 @@ class EngineCore {
   /// visible at ts before the chain copy is taken.
   Status GetVersioned(const Slice& key, uint64_t ts, std::string* value,
                       tx::mvcc::MvccManager* latch = nullptr) {
-    std::string chain;
-    {
-      std::unique_lock<std::shared_mutex> phys;
-      if (latch != nullptr) {
-        phys = std::unique_lock<std::shared_mutex>(latch->PhysLatch());
-      }
-      FAME_RETURN_IF_ERROR(Get(key, &chain));
-    }
-    tx::mvcc::Version v;
-    FAME_RETURN_IF_ERROR(tx::mvcc::VisibleAt(Slice(chain), ts, &v));
-    value->assign(v.value.data(), v.value.size());
-    return Status::OK();
+    return GetVisible(key, value, latch, [ts] { return ts; });
   }
 
   /// Point lookup at the *current* read timestamp, without registering a
@@ -734,23 +736,14 @@ class EngineCore {
   /// reason as SnapshotCursor::LockStep.
   Status GetVersionedLatest(const Slice& key, std::string* value,
                             tx::mvcc::MvccManager* mgr) {
-    std::string chain;
-    uint64_t ts = 0;
-    {
-      std::unique_lock<std::shared_mutex> phys(mgr->PhysLatch());
-      ts = mgr->ReadTs();
-      FAME_RETURN_IF_ERROR(Get(key, &chain));
-    }
-    tx::mvcc::Version v;
-    FAME_RETURN_IF_ERROR(tx::mvcc::VisibleAt(Slice(chain), ts, &v));
-    value->assign(v.value.data(), v.value.size());
-    return Status::OK();
+    return GetVisible(key, value, mgr, [mgr] { return mgr->ReadTs(); });
   }
 
   /// Opens a snapshot-frozen heap-joining cursor at `ts`. When `mgr` is
   /// given, the caller already registered the snapshot (BeginSnapshot) and
   /// the cursor releases it when destroyed — pinning the GC watermark at
-  /// or below ts for the cursor's lifetime.
+  /// or below ts for the cursor's lifetime, so a concurrent commit's
+  /// inline prune cannot retire a version the cursor still has to resolve.
   StatusOr<SnapshotCursor> NewSnapshotCursor(
       uint64_t ts, tx::mvcc::MvccManager* mgr = nullptr) {
     auto c = NewCursor();
@@ -759,84 +752,6 @@ class EngineCore {
       return c.status();
     }
     return SnapshotCursor(std::move(c).value(), ts, mgr);
-  }
-
-  /// Snapshot visitor adapters — the versioned twins of Scan/RangeScan/
-  /// ScanPrefix/ReverseScan: same traversal shape, each chain resolved at
-  /// `ts`, invisible keys skipped, corruption surfaced. When `mgr` is
-  /// given, `ts` must be a *registered* snapshot (the caller's
-  /// mgr->BeginSnapshot()); the underlying SnapshotCursor takes ownership
-  /// of the registration and releases it when the scan finishes — pinning
-  /// the GC watermark at or below ts for the whole walk. Without the pin a
-  /// concurrent commit's inline prune (prune_below = Watermark()) could
-  /// retire the very versions the in-flight scan still has to resolve and
-  /// keys would silently vanish mid-scan. `mgr` also supplies the
-  /// per-step physical latching and re-descent the handle cursors get;
-  /// the visitor runs outside any pinned mid-mutation state.
-  Status SnapshotScan(uint64_t ts, const KvVisitor& fn,
-                      tx::mvcc::MvccManager* mgr = nullptr) {
-    return SnapshotRangeScan(ts, Slice(), Slice(), /*ordered=*/true, fn, mgr);
-  }
-
-  Status SnapshotRangeScan(uint64_t ts, const Slice& lo, const Slice& hi,
-                           bool ordered, const KvVisitor& fn,
-                           tx::mvcc::MvccManager* mgr = nullptr) {
-    FAME_ASSIGN_OR_RETURN(SnapshotCursor cur, NewSnapshotCursor(ts, mgr));
-    if (lo.empty()) {
-      cur.SeekToFirst();
-    } else {
-      cur.Seek(lo);
-    }
-    for (; cur.Valid(); cur.Next()) {
-      if (!hi.empty() && cur.key().compare(hi) >= 0) {
-        if (ordered) break;
-        continue;
-      }
-      if (!fn(cur.key(), cur.value())) break;
-    }
-    return cur.status();
-  }
-
-  Status SnapshotScanPrefix(uint64_t ts, const Slice& prefix, bool ordered,
-                            const KvVisitor& fn,
-                            tx::mvcc::MvccManager* mgr = nullptr) {
-    if (!ordered) {
-      return SnapshotRangeScan(
-          ts, Slice(), Slice(), false,
-          [&](const Slice& k, const Slice& v) {
-            return k.starts_with(prefix) ? fn(k, v) : true;
-          },
-          mgr);
-    }
-    std::string hi = PrefixUpperBound(prefix);
-    return SnapshotRangeScan(ts, prefix, Slice(hi), true, fn, mgr);
-  }
-
-  Status SnapshotReverseScan(uint64_t ts, const Slice& lo, const Slice& hi,
-                             const KvVisitor& fn,
-                             tx::mvcc::MvccManager* mgr = nullptr) {
-    FAME_ASSIGN_OR_RETURN(SnapshotCursor cur, NewSnapshotCursor(ts, mgr));
-    if (!cur.SupportsReverse()) {
-      return Status::NotSupported("access method has no reverse iteration");
-    }
-    if (hi.empty()) {
-      cur.SeekToLast();
-    } else {
-      // Predecessor of hi among *visible* keys: Seek settles at the first
-      // visible key >= hi, so one Prev lands on the last visible key < hi
-      // (every key between is invisible at ts by construction).
-      cur.Seek(hi);
-      if (cur.Valid()) {
-        cur.Prev();
-      } else if (cur.status().ok()) {
-        cur.SeekToLast();
-      }
-    }
-    for (; cur.Valid(); cur.Prev()) {
-      if (!lo.empty() && cur.key().compare(lo) < 0) break;
-      if (!fn(cur.key(), cur.value())) break;
-    }
-    return cur.status();
   }
 
   /// Watermark GC sweep: rewrites every chain without its versions dead at
@@ -859,18 +774,23 @@ class EngineCore {
       uint64_t pruned;
     };
     std::vector<Edit> edits;
-    FAME_RETURN_IF_ERROR(Scan([&](const Slice& k, const Slice& v) {
-      std::string next;
-      uint64_t pruned = 0;
-      // A corrupt chain is left in place: the sweep is advisory, readers
-      // report the corruption with full context.
-      if (!tx::mvcc::PruneChain(v, watermark, &next, &pruned).ok()) {
-        return true;
-      }
-      if (pruned == 0) return true;
-      edits.push_back(Edit{k.ToString(), std::move(next), pruned});
-      return true;
-    }));
+    {  // the cursor closes before the apply below mutates the heap
+      FAME_ASSIGN_OR_RETURN(EngineCursor cur, NewCursor());
+      FAME_RETURN_IF_ERROR(VisitRange(
+          cur, Slice(), Slice(), /*ordered=*/true,
+          [&](const Slice& k, const Slice& v) {
+            std::string next;
+            uint64_t pruned = 0;
+            // A corrupt chain is left in place: the sweep is advisory,
+            // readers report the corruption with full context.
+            if (!tx::mvcc::PruneChain(v, watermark, &next, &pruned).ok()) {
+              return true;
+            }
+            if (pruned == 0) return true;
+            edits.push_back(Edit{k.ToString(), std::move(next), pruned});
+            return true;
+          }));
+    }
     uint64_t total = 0;
     for (const auto& e : edits) {
       if (e.chain.empty()) {
@@ -885,38 +805,26 @@ class EngineCore {
   }
 
  private:
-  /// Smallest key greater than every key with `prefix` ("" = unbounded,
-  /// for an all-0xff prefix).
-  static std::string PrefixUpperBound(const Slice& prefix) {
-    std::string hi = prefix.ToString();
-    while (!hi.empty()) {
-      if (static_cast<unsigned char>(hi.back()) != 0xff) {
-        hi.back() = static_cast<char>(hi.back() + 1);
-        return hi;
+  /// The versioned gets' shared tail: probe + join under `latch` (when
+  /// given), with the read ts taken by `read_ts` inside it, then the chain
+  /// copy resolved to the version visible at that ts outside it.
+  template <typename ReadTs>
+  Status GetVisible(const Slice& key, std::string* value,
+                    tx::mvcc::MvccManager* latch, ReadTs read_ts) {
+    std::string chain;
+    uint64_t ts = 0;
+    {
+      std::unique_lock<std::shared_mutex> phys;
+      if (latch != nullptr) {
+        phys = std::unique_lock<std::shared_mutex>(latch->PhysLatch());
       }
-      hi.pop_back();
+      ts = read_ts();
+      FAME_RETURN_IF_ERROR(Get(key, &chain));
     }
-    return hi;
-  }
-
-  Status ScanRange(const Slice& lo, const Slice& hi, bool ordered,
-                   const KvVisitor& fn) {
-    FAME_ASSIGN_OR_RETURN(EngineCursor c, NewCursor());
-    if (lo.empty()) {
-      c.SeekToFirst();
-    } else {
-      c.Seek(lo);
-    }
-    for (; c.Valid(); c.Next()) {
-      if (!hi.empty() && c.key().compare(hi) >= 0) {
-        if (ordered) break;
-        continue;
-      }
-      Slice v = c.value();
-      if (!c.Valid()) break;  // heap join failed; status() has the error
-      if (!fn(c.key(), v)) break;
-    }
-    return c.status();
+    tx::mvcc::Version v;
+    FAME_RETURN_IF_ERROR(tx::mvcc::VisibleAt(Slice(chain), ts, &v));
+    value->assign(v.value.data(), v.value.size());
+    return Status::OK();
   }
 
   storage::RecordManager* heap_ = nullptr;

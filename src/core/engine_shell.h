@@ -257,17 +257,10 @@ class EngineShell : private tx::ApplyTarget {
     return Instrument(
         obs::TraceOp::kScan,
         [](auto& m) { return std::pair(&m.scans, &m.scan_ns); },
-        [&]() -> Status {
-          if constexpr (kCan<kMvcc>) {
-            // A registered snapshot, not a bare ReadTs: the scan's cursor
-            // owns the registration and pins the GC watermark below it.
-            if (Has<kMvcc>()) {
-              return core_.SnapshotRangeScan(mvcc_.mgr.BeginSnapshot(), lo,
-                                             hi, /*ordered=*/true, fn,
-                                             &mvcc_.mgr);
-            }
-          }
-          return core_.RangeScan(lo, hi, /*ordered=*/true, fn);
+        [&] {
+          return WithRecordCursor([&](auto& c) {
+            return VisitRange(c, lo, hi, /*ordered=*/true, fn);
+          });
         });
   }
 
@@ -280,14 +273,9 @@ class EngineShell : private tx::ApplyTarget {
     return Instrument(
         obs::TraceOp::kReverseScan,
         [](auto& m) { return std::pair(&m.scans, &m.scan_ns); },
-        [&]() -> Status {
-          if constexpr (kCan<kMvcc>) {
-            if (Has<kMvcc>()) {
-              return core_.SnapshotReverseScan(mvcc_.mgr.BeginSnapshot(), lo,
-                                               hi, fn, &mvcc_.mgr);
-            }
-          }
-          return core_.ReverseScan(lo, hi, fn);
+        [&] {
+          return WithRecordCursor(
+              [&](auto& c) { return VisitReverse(c, lo, hi, fn); });
         });
   }
 
@@ -709,25 +697,35 @@ class EngineShell : private tx::ApplyTarget {
     uint64_t packed = 0;
     return index_->Lookup(key, &packed);
   }
-  Status ScanRecords(const KvVisitor& fn) {
+  /// Runs `walk(cursor)` over the record-level view — the one place the
+  /// read path picks its cursor. With Mvcc a snapshot cursor at a
+  /// registered snapshot, not a bare ReadTs: the cursor owns the
+  /// registration and pins the GC watermark below it until the walk ends.
+  /// Without Mvcc the plain heap-joining cursor.
+  template <typename Walk>
+  Status WithRecordCursor(Walk&& walk) {
     if constexpr (kCan<kMvcc>) {
       if (Has<kMvcc>()) {
-        return core_.SnapshotScan(mvcc_.mgr.BeginSnapshot(), fn, &mvcc_.mgr);
+        FAME_ASSIGN_OR_RETURN(
+            SnapshotCursor c,
+            core_.NewSnapshotCursor(mvcc_.mgr.BeginSnapshot(), &mvcc_.mgr));
+        return walk(c);
       }
     }
-    return core_.Scan(fn);
+    FAME_ASSIGN_OR_RETURN(EngineCursor c, core_.NewCursor());
+    return walk(c);
+  }
+  Status ScanRecords(const KvVisitor& fn) {
+    return WithRecordCursor([&](auto& c) {
+      return VisitRange(c, Slice(), Slice(), /*ordered=*/true, fn);
+    });
   }
   /// Records whose key starts with `prefix`: a bounded range on the
   /// B+-Tree, a filtered full scan otherwise.
   Status ScanPrefixRecords(const Slice& prefix, const KvVisitor& fn) {
-    const bool ordered = Has<kBPlusTree>();
-    if constexpr (kCan<kMvcc>) {
-      if (Has<kMvcc>()) {
-        return core_.SnapshotScanPrefix(mvcc_.mgr.BeginSnapshot(), prefix,
-                                        ordered, fn, &mvcc_.mgr);
-      }
-    }
-    return core_.ScanPrefix(prefix, ordered, fn);
+    return WithRecordCursor([&](auto& c) {
+      return VisitPrefix(c, prefix, Has<kBPlusTree>(), fn);
+    });
   }
 
   /// The B+-tree behind the index, or nullptr for the List alternative.

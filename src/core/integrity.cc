@@ -31,16 +31,6 @@ void AddIssue(std::vector<std::string>* list, std::string msg) {
   }
 }
 
-/// Splits a core record ("varint32 klen, key, value") into its key; false
-/// when the bytes cannot possibly be a record.
-bool DecodeRecordKey(const Slice& rec, Slice* key) {
-  Slice in = rec;
-  uint32_t klen = 0;
-  if (!GetVarint32(&in, &klen) || in.size() < klen) return false;
-  *key = Slice(in.data(), klen);
-  return true;
-}
-
 std::string RidStr(const storage::Rid& rid) {
   return std::to_string(rid.page) + ":" + std::to_string(rid.slot);
 }
@@ -99,8 +89,8 @@ Status SalvageScan(storage::PageFile* file, storage::IntegrityReport* report,
       auto rec_or = page.Get(slot);
       if (!rec_or.ok()) continue;  // dead slot
       Slice rec = rec_or.value();
-      Slice key;
-      if (!DecodeRecordKey(rec, &key)) {
+      Slice key, value;
+      if (!SplitRecord(rec, &key, &value)) {
         AddIssue(&report->heap_issues,
                  "dropping undecodable record at " +
                      RidStr(storage::Rid{id, slot}));
@@ -163,8 +153,8 @@ Status Database::VerifyIntegrity(storage::IntegrityReport* report) {
   // Heap -> index: every live record must be indexed under its own key at
   // its own rid.
   Status hs = heap_->Scan([&](const storage::Rid& rid, const Slice& rec) {
-    Slice key;
-    if (!DecodeRecordKey(rec, &key)) {
+    Slice key, value;
+    if (!SplitRecord(rec, &key, &value)) {
       AddIssue(&report->heap_issues,
                "undecodable record at " + RidStr(rid));
       return true;
@@ -191,13 +181,12 @@ Status Database::VerifyIntegrity(storage::IntegrityReport* report) {
     storage::Rid rid = storage::Rid::Unpack(packed);
     std::string rec;
     Status gs = heap_->Get(rid, &rec);
-    Slice stored_key;
+    Slice value;
     if (!gs.ok()) {
       AddIssue(&report->index_issues,
                "index entry dangles at " + RidStr(rid) + ": " +
                    gs.ToString());
-    } else if (!DecodeRecordKey(Slice(rec), &stored_key) ||
-               stored_key != key) {
+    } else if (!RecordValue(Slice(rec), key, &value).ok()) {
       AddIssue(&report->index_issues,
                "index entry points at a record with a different key (" +
                    RidStr(rid) + ")");

@@ -380,46 +380,29 @@ Status SqlEngine::CollectRows(const std::string& table,
       hi = prefix + access->literal.EncodeKey();
       if (access->op == "<=") hi.push_back('\0');  // include the bound
     }
-    // Consume the engine cursor directly: seek to the range start, pull
-    // rows until the bound or the limit, then abandon the cursor — a
-    // LIMIT-k query never touches more than k matching leaves.
-    if (db_->mvcc()) {
-      // [feature Mvcc] Same walk over the snapshot view: each position
-      // resolves its version chain at the query's read timestamp.
-      auto snap_or = db_->NewSnapshotCursor();
-      FAME_RETURN_IF_ERROR(snap_or.status());
-      SnapshotCursor snap = std::move(snap_or).value();
-      for (snap.Seek(lo); snap.Valid(); snap.Next()) {
-        if (snap.key().compare(Slice(hi)) >= 0) break;
-        scanned();
-        auto row_or = DecodeRow(snap.value());
-        if (!row_or.ok()) return row_or.status();
-        if (matches_all(row_or.value())) {
-          matched();
-          rows->push_back(std::move(row_or).value());
-          if (done()) break;
-        }
-      }
-      return snap.status();
-    }
-    auto cur_or = db_->NewCursor();
-    FAME_RETURN_IF_ERROR(cur_or.status());
-    EngineCursor cur = std::move(cur_or).value();
-    for (cur.Seek(lo); cur.Valid(); cur.Next()) {
-      if (cur.key().compare(Slice(hi)) >= 0) break;
-      scanned();
-      Slice value = cur.value();
-      if (!cur.Valid()) break;  // heap join failed; status() has the error
-      auto row_or = DecodeRow(value);
-      if (!row_or.ok()) return row_or.status();
-      // The bounds over-approximate; re-check every predicate exactly.
-      if (matches_all(row_or.value())) {
-        matched();
-        rows->push_back(std::move(row_or).value());
-        if (done()) break;
-      }
-    }
-    return cur.status();
+    // Walk the record cursor (a snapshot view with Mvcc) from the range
+    // start until the bound or the limit, then abandon it — a LIMIT-k
+    // query never touches more than k matching leaves.
+    Status decoded = Status::OK();
+    FAME_RETURN_IF_ERROR(db_->WithRecordCursor([&](auto& cur) {
+      return VisitRange(
+          cur, Slice(lo), Slice(hi), /*ordered=*/true,
+          [&](const Slice&, const Slice& value) {
+            scanned();
+            auto row_or = DecodeRow(value);
+            if (!row_or.ok()) {
+              decoded = row_or.status();
+              return false;
+            }
+            // The bounds over-approximate; re-check every predicate exactly.
+            if (matches_all(row_or.value())) {
+              matched();
+              rows->push_back(std::move(row_or).value());
+            }
+            return !done();
+          });
+    }));
+    return decoded;
   }
   // Fallback: scan everything, filter; the limit still stops the
   // underlying cursor early once enough rows matched.

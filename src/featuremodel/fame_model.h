@@ -79,8 +79,10 @@ nfp throughput 18270
 /// integrity seed's base product plus the reverse-iteration symbol group
 /// summed from `nm --size-sort` — BasicBtreeCursor SeekToLast (1,326 B),
 /// FindLastBelow (1,234 B) and Prev (456 B) in index/bplus_tree.o, plus
-/// EngineCore::ReverseScan (2,691 B) and the Database::ReverseScan gate
-/// (377 B) in core/database.o; 6,084 B total. Forward-only products link
+/// the engine's reverse loop (2,691 B, measured when it was
+/// EngineCore::ReverseScan; the code is now VisitReverse<EngineCursor>)
+/// and the Database::ReverseScan gate (377 B) in core/database.o; 6,084 B
+/// total. Forward-only products link
 /// none of it (the cursor ops are virtual defaults that invalidate).
 /// Remeasure after material changes to the cursor layer.
 inline constexpr const char kFameReverseScanNfpSeed[] = R"nfp(product API,B+-Tree,BTree-Search,Dynamic,Get,Int-Types,LRU,Linux,Put,String-Types

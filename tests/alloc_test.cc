@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <new>
 #include <random>
 #include <string>
 #include <thread>
@@ -22,15 +23,22 @@
 
 // ---------------------------------------------------------------------------
 // Global heap probe for the zero-heap test: every plain operator new in this
-// binary bumps a counter. The aligned/nothrow forms keep their default
-// behaviour (they funnel into malloc, not these overloads) — the engine's
-// Static products never reach them after init, which is the point.
+// binary bumps a counter. The nothrow form is replaced too, uncounted but
+// malloc-backed like the rest of the set: the slab pool's large path
+// allocates with it and frees through the plain operator delete below, so
+// every block this binary hands out must come from malloc (a sanitizer's
+// own nothrow new would otherwise report the free() as a mismatch). The
+// aligned forms keep their default pairing — the engine's Static products
+// never reach either after init, which is the point.
 static std::atomic<uint64_t> g_heap_news{0};
 
 void* operator new(size_t n) {
   g_heap_news.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
+}
+void* operator new(size_t n, const std::nothrow_t&) noexcept {
+  return std::malloc(n ? n : 1);
 }
 // The replacement pair is malloc/free-backed on both sides; GCC can't see
 // that and warns about free() on a new'ed pointer.

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -18,6 +20,7 @@
 #include "common/random.h"
 #include "core/database.h"
 #include "core/products.h"
+#include "core/sql.h"
 #include "index/bplus_tree.h"
 #include "index/btree_cursor.h"
 #include "index/hash_index.h"
@@ -896,6 +899,206 @@ TEST(SnapshotCursorConformanceTest, ConcurrentSnapshotScansStayFrozen) {
   stop = true;
   writer.join();
   EXPECT_EQ(errors.load(), 0);
+}
+
+
+// --------------------------------------------------- differential reads
+
+// Every read path of the engine shell against one std::map oracle after
+// puts, overwrites and removes: Scan, RangeScan and ReverseScan (open and
+// bounded hi) on four products — plain and Mvcc, each bound at runtime
+// (Database) and at compile time (StaticEngine) — plus, on the runtime
+// products, ScanTable and SQL's index-range plan over typed rows. The Mvcc
+// products walk SnapshotCursors through the same loops, so removed keys
+// are tombstoned chains the cursor must skip in both directions.
+
+using KvOracle = std::map<std::string, std::string>;
+using Kvs = std::vector<std::pair<std::string, std::string>>;
+
+std::string DiffKey(uint64_t i) {
+  char key[8];
+  std::snprintf(key, sizeof(key), "k%03d", static_cast<int>(i));
+  return key;
+}
+
+/// Puts fresh keys, overwrites live ones and removes about a third of the
+/// keys it picks that exist, mirroring each op into `oracle`.
+template <typename Engine>
+void MutateWithOracle(Engine& db, KvOracle* oracle, Random* rnd, int ops) {
+  for (int i = 0; i < ops; ++i) {
+    const std::string k = DiffKey(rnd->Uniform(300));
+    auto it = oracle->find(k);
+    if (it != oracle->end() && rnd->OneIn(3)) {
+      ASSERT_TRUE(db.Remove(k).ok());
+      oracle->erase(it);
+    } else {
+      const std::string v = rnd->NextString(rnd->Uniform(40));
+      ASSERT_TRUE(db.Put(k, v).ok());
+      (*oracle)[k] = v;
+    }
+  }
+}
+
+template <typename Engine>
+void ExpectReadsMatch(Engine& db, const KvOracle& oracle, Random* rnd) {
+  Kvs got;
+  const core::KvVisitor collect = [&got](const Slice& k, const Slice& v) {
+    got.emplace_back(k.ToString(), v.ToString());
+    return true;
+  };
+  ASSERT_TRUE(db.Scan(collect).ok());
+  EXPECT_EQ(got, Kvs(oracle.begin(), oracle.end()));
+  for (int probe = 0; probe < 24; ++probe) {
+    // Bounds drawn past both ends of the key space, and an open lo.
+    std::string lo = probe == 0 ? "" : DiffKey(rnd->Uniform(320));
+    std::string hi = DiffKey(rnd->Uniform(320));
+    if (hi < lo) std::swap(lo, hi);
+    const Kvs want(oracle.lower_bound(lo), oracle.lower_bound(hi));
+    got.clear();
+    ASSERT_TRUE(db.RangeScan(lo, hi, collect).ok());
+    EXPECT_EQ(got, want) << "RangeScan [" << lo << ", " << hi << ")";
+    got.clear();
+    ASSERT_TRUE(db.ReverseScan(lo, hi, collect).ok());
+    EXPECT_EQ(got, Kvs(want.rbegin(), want.rend()))
+        << "ReverseScan [" << lo << ", " << hi << ")";
+    got.clear();
+    ASSERT_TRUE(db.ReverseScan(lo, Slice(), collect).ok());
+    EXPECT_EQ(got, Kvs(oracle.rbegin(), std::make_reverse_iterator(
+                                            oracle.lower_bound(lo))))
+        << "ReverseScan [" << lo << ", end)";
+  }
+}
+
+template <typename Engine>
+void RunKvDifferential(Engine& db, bool mvcc) {
+  KvOracle oracle;
+  Random rnd(mvcc ? 83 : 71);
+  for (int round = 0; round < 4; ++round) {
+    ASSERT_NO_FATAL_FAILURE(MutateWithOracle(db, &oracle, &rnd, 150));
+    ASSERT_NO_FATAL_FAILURE(ExpectReadsMatch(db, oracle, &rnd));
+  }
+  if constexpr (requires(Engine& e) { e.MvccGc(); }) {
+    if (mvcc) {
+      // Pruned chains and swept tombstones leave the visible state as is.
+      ASSERT_TRUE(db.MvccGc().ok());
+      ASSERT_NO_FATAL_FAILURE(ExpectReadsMatch(db, oracle, &rnd));
+    }
+  }
+}
+
+/// Typed rows on a fresh runtime product: ScanTable and SQL's index-range
+/// plan (both bounds directions, with and without LIMIT) against an
+/// oracle keyed by the primary key.
+void RunRowDifferential(const std::vector<std::string>& features) {
+  auto env = osal::NewMemEnv(0);
+  auto db = core::Database::Open(MemDbOptions(features, env.get()));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  core::SqlEngine* sql = (*db)->sql();
+  ASSERT_NE(sql, nullptr);
+  // SQL upper-cases identifiers: the record API names the table "T".
+  ASSERT_TRUE(sql->Execute("CREATE TABLE t (id INT, v TEXT)").ok());
+  std::map<int64_t, std::string> oracle;
+  Random rnd(97);
+  for (int i = 0; i < 300; ++i) {
+    const auto id = static_cast<int64_t>(rnd.Uniform(120));
+    auto it = oracle.find(id);
+    if (it != oracle.end() && rnd.OneIn(3)) {
+      ASSERT_TRUE((*db)->DeleteRow("T", core::Value::Int(id)).ok());
+      oracle.erase(it);
+    } else {
+      const std::string v = rnd.NextString(1 + rnd.Uniform(20));
+      ASSERT_TRUE((*db)
+                      ->InsertRow("T", {core::Value::Int(id),
+                                        core::Value::String(v)})
+                      .ok());
+      oracle[id] = v;
+    }
+  }
+  using Rows = std::vector<std::pair<int64_t, std::string>>;
+  Rows got;
+  ASSERT_TRUE((*db)
+                  ->ScanTable("T",
+                              [&](const core::Row& r) {
+                                got.emplace_back(r[0].AsInt(),
+                                                 r[1].AsString());
+                                return true;
+                              })
+                  .ok());
+  EXPECT_EQ(got, Rows(oracle.begin(), oracle.end()));
+  for (int64_t bound : {0, 1, 17, 55, 99, 119, 150}) {
+    for (const char* op : {">=", ">", "<", "<="}) {
+      for (int limit : {0, 3}) {
+        std::string q = "SELECT * FROM t WHERE id " + std::string(op) + " " +
+                        std::to_string(bound);
+        if (limit > 0) q += " LIMIT " + std::to_string(limit);
+        auto rs = sql->Execute(q);
+        ASSERT_TRUE(rs.ok()) << q << ": " << rs.status().ToString();
+        EXPECT_EQ(rs->plan, "index-range") << q;
+        Rows want;
+        for (const auto& [id, v] : oracle) {
+          const bool in = op[0] == '>' ? (op[1] ? id >= bound : id > bound)
+                                       : (op[1] ? id <= bound : id < bound);
+          if (in) want.emplace_back(id, v);
+        }
+        if (limit > 0 && want.size() > static_cast<size_t>(limit)) {
+          want.resize(limit);
+        }
+        got.clear();
+        for (const core::Row& r : rs->rows) {
+          got.emplace_back(r[0].AsInt(), r[1].AsString());
+        }
+        EXPECT_EQ(got, want) << q;
+      }
+    }
+  }
+}
+
+const std::vector<std::string> kDiffPlainFeatures = {
+    "Linux", "B+-Tree", "Put", "Remove", "BTree-Remove", "Update",
+    "BTree-Update", "ReverseScan", "Int-Types", "String-Types", "SQL-Engine",
+    "Optimizer"};
+
+std::vector<std::string> DiffMvccFeatures() {
+  std::vector<std::string> f = kDiffPlainFeatures;
+  f.push_back("Transaction");
+  f.push_back("Mvcc");
+  return f;
+}
+
+struct VersionedAnalyticsCfg : core::VersionedStoreCfg {
+  static constexpr bool kReverseScan = true;
+};
+
+TEST(EngineReadDifferentialTest, RuntimePlainMatchesOracle) {
+  auto env = osal::NewMemEnv(0);
+  auto db = core::Database::Open(MemDbOptions(kDiffPlainFeatures, env.get()));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_FALSE((*db)->mvcc());
+  RunKvDifferential(**db, /*mvcc=*/false);
+  RunRowDifferential(kDiffPlainFeatures);
+}
+
+TEST(EngineReadDifferentialTest, RuntimeMvccMatchesOracle) {
+  auto env = osal::NewMemEnv(0);
+  auto db = core::Database::Open(MemDbOptions(DiffMvccFeatures(), env.get()));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_TRUE((*db)->mvcc());
+  RunKvDifferential(**db, /*mvcc=*/true);
+  RunRowDifferential(DiffMvccFeatures());
+}
+
+TEST(EngineReadDifferentialTest, StaticPlainMatchesOracle) {
+  auto env = osal::NewMemEnv(0);
+  core::Analytics db;
+  ASSERT_TRUE(db.Open(env.get(), "diff-plain").ok());
+  RunKvDifferential(db, /*mvcc=*/false);
+}
+
+TEST(EngineReadDifferentialTest, StaticMvccMatchesOracle) {
+  auto env = osal::NewMemEnv(0);
+  core::StaticEngine<VersionedAnalyticsCfg> db;
+  ASSERT_TRUE(db.Open(env.get(), "diff-mvcc").ok());
+  RunKvDifferential(db, /*mvcc=*/true);
 }
 
 }  // namespace

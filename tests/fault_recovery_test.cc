@@ -611,8 +611,7 @@ void ChurnChecked(MemoProduct* db, Random* rng, int steps,
     storage::PageId want = storage::kInvalidPageId;
     if (fresh) {
       const size_t need =
-          EngineCore<index::BPlusTree>::EncodeRecord(key, value).size() +
-          storage::Page::kSlotSize;
+          EncodeRecord(key, value).size() + storage::Page::kSlotSize;
       want = FirstFitByWalk(db, need, &chain);
     }
     ASSERT_TRUE((*txn)->Put("core", key, value).ok());
